@@ -1,0 +1,10 @@
+"""Lets ``python -m pytest perfbench`` import the benchmark's modules and
+the program they measure."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (HERE, os.path.join(os.path.dirname(HERE), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
