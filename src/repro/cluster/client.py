@@ -757,8 +757,10 @@ class Client:
 
     def delete_index_entry(self, index_table: str, index_key: bytes,
                            ts: int) -> Generator[Any, Any, None]:
-        """Used by the sync-insert read-repair path (Algorithm 2)."""
+        """Used by the sync-insert read-repair path (Algorithm 2): one DI
+        op, counted as synchronous work on the target's index pool."""
         yield from self._routed(
             index_table, index_key,
-            lambda server: server.handle_index_delete(index_table, index_key,
-                                                      ts, background=False))
+            lambda server: server.handle_index_ops(
+                [("del", index_table, index_key, ts)], background=False,
+                index_pool=True))

@@ -21,18 +21,18 @@ the latency growth in Figures 7/8 and the AUQ backlog of Figure 11.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import (Any, Dict, Generator, List, Optional, Set, Tuple,
                     TYPE_CHECKING)
 
 from repro.errors import (EncodingError, NoSuchRegionError, RpcError,
                           ServerDownError)
-from repro.core.auq import IndexTask, aps_worker, maintain_indexes
+from repro.core.auq import (IndexTask, aps_worker, plan_delete_ops,
+                            plan_insert_ops, ship_index_ops, touched_indexes)
 from repro.core.coprocessor import IndexOpContext
 from repro.core.encoding import decode_index_key
 from repro.core.index import IndexState, extract_index_values
-from repro.core.local import (is_reserved_key, local_scan_range,
-                              plan_local_index_cells)
-from repro.core.observers import build_observers
+from repro.core.local import local_scan_range, plan_local_index_cells
 from repro.lsm.cache import BlockCache
 from repro.lsm.tree import ReadStats
 from repro.lsm.types import DELTA_MS, Cell, KeyRange
@@ -49,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import MiniCluster
 
 __all__ = ["ServerConfig", "RegionServer"]
+
+# Sort key of an admitted mutation (i, kind, row, payload, region).
+_ROW_KEY = operator.itemgetter(2)
 
 
 @dataclasses.dataclass
@@ -353,21 +356,6 @@ class RegionServer:
     # -- base-table writes -------------------------------------------------------
 
     @staticmethod
-    def _observer_hook(hook, span, *args) -> Generator[Any, Any, None]:
-        """Invoke a coprocessor hook, handing it the put/delete root span.
-
-        Third-party observers written before the observability subsystem
-        take no ``span`` parameter; a signature mismatch surfaces at
-        generator *creation* (before any body code runs), so falling back
-        on TypeError here cannot swallow an error from the hook itself.
-        """
-        try:
-            gen = hook(*args, span=span)
-        except TypeError:
-            gen = hook(*args)
-        yield from gen
-
-    @staticmethod
     def _check_row_key(row: bytes) -> None:
         """Row keys must stay out of the reserved (leading-0x00) keyspace
         that hosts local-index entries, and must not be empty."""
@@ -379,165 +367,35 @@ class RegionServer:
             raise ClusterError(
                 f"row keys must not start with 0x00 (reserved): {row!r}")
 
-    def _gate_entry(self, table: str) -> Generator[Any, Any, bool]:
-        """Wait out a pre-flush drain BEFORE taking a handler slot (waiting
-        inside the slot would let gated puts starve the APS deliveries the
-        drain itself is waiting for).  Returns True when the caller was
-        admitted and must decrement ``put_inflight`` when done."""
-        if not self.cluster.descriptor(table).has_indexes:
-            return False
-        if not self.auq_gate.is_open:
-            wait_start = self.sim.now()
-            yield self.auq_gate.wait_open()
-            waited = self.sim.now() - wait_start
-            self.flush_gate_wait_ms += waited
-            self.obs_flush_gate_wait.observe(waited)
-        self.put_inflight.increment()
-        return True
+    def _wait_gate_open(self) -> Generator[Any, Any, None]:
+        """Wait out a pre-flush drain (Figure 5's paused AUQ intake)."""
+        wait_start = self.sim.now()
+        yield self.auq_gate.wait_open()
+        waited = self.sim.now() - wait_start
+        self.flush_gate_wait_ms += waited
+        self.obs_flush_gate_wait.observe(waited)
 
     def handle_put(self, table: str, row: bytes, values: Dict[str, bytes],
                    return_old: bool = False,
                    ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
-        """The write path: WAL → memtable → coprocessors → ack (§2.2, Alg. 1/3).
+        """The write path for one row: a batch of one (§2.2, Alg. 1/3).
 
         Returns ``(ts, old_values)``; ``old_values`` is only read (and only
         for the indexed columns) when ``return_old`` — the extra base read
-        session consistency pays for (§5.2).
+        session consistency pays for (§5.2).  A row this server cannot
+        serve raises :class:`NoSuchRegionError` (the client re-routes).
         """
-        self._check_row_key(row)
-        gated = yield from self._gate_entry(table)
-        try:
-            return (yield from self._with_handler(
-                lambda: self._put_body(table, row, values, return_old)))
-        finally:
-            if gated:
-                self.put_inflight.decrement()
-
-    def _put_body(self, table: str, row: bytes, values: Dict[str, bytes],
-                  return_old: bool,
-                  ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
-        region = self._require_open_region(table, row)
-        region.note_write()
-        descriptor = region.table
-        model = self.cluster.model
-        yield region.locks.acquire(row)
-        span = self.tracer.start("put", server=self.name, table=table)
-        try:
-            ts = self.assign_timestamp()
-
-            old_values: Optional[Dict[str, Tuple[bytes, int]]] = None
-            if return_old:
-                columns = descriptor.indexed_columns()
-                if columns:
-                    old_values = yield from self.local_read_row(
-                        region, row, columns, max_ts=ts - 1, background=False)
-
-            cells = tuple(Cell(compose_cell_key(row, col), ts, value)
-                          for col, value in sorted(values.items()))
-            local_indexes = [ix for ix in descriptor.indexes.values()
-                             if ix.is_local]
-            if local_indexes:
-                # Local-index cells ride in the SAME WAL record as the base
-                # put: the index is crash-atomic with its row (§3.1 —
-                # co-location pays off here).
-                extra = yield from plan_local_index_cells(
-                    self, region, row, values, ts, local_indexes)
-                cells = cells + tuple(extra)
-            record = self.wal.append(region.name, table, cells,
-                                     indexed=descriptor.has_indexes)
-            wal_span = self.tracer.start("wal_append", parent=span,
-                                         server=self.name)
-            # ``use(self.log_device, ...)`` inlined: the put path is hot
-            # enough that the extra generator frame per write shows up.
-            log_device = self.log_device
-            wal_cost = model.wal_append()
-            yield log_device.acquire()
-            try:
-                if wal_cost > 0:
-                    yield Timeout(wal_cost)
-            finally:
-                log_device.release()
-            wal_span.end()
-            region.tree.add_many(cells, seqno=record.seqno)
-            yield Timeout(model.memtable_op() * len(cells))
-            self.cluster.counters.incr("base_put")
-
-            for observer in self.cluster.observers_for(table):
-                yield from self._observer_hook(
-                    observer.post_put, span,
-                    self, descriptor, row, values, ts)
-            return ts, old_values
-        finally:
-            span.end()
-            region.locks.release(row)
+        return self._mutate(table, [("put", row, values)], single=True,
+                            return_old=return_old)
 
     def handle_delete(self, table: str, row: bytes, columns: List[str],
                       return_old: bool = False,
                       ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
         """Row delete: a tombstone per column plus index maintenance —
-        "deletion is handled similarly as put in LSM" (§4.3)."""
-        self._check_row_key(row)
-        gated = yield from self._gate_entry(table)
-        try:
-            return (yield from self._with_handler(
-                lambda: self._delete_body(table, row, columns, return_old)))
-        finally:
-            if gated:
-                self.put_inflight.decrement()
-
-    def _delete_body(self, table: str, row: bytes, columns: List[str],
-                     return_old: bool,
-                     ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
-        region = self._require_open_region(table, row)
-        region.note_write()
-        descriptor = region.table
-        model = self.cluster.model
-        yield region.locks.acquire(row)
-        span = self.tracer.start("delete", server=self.name, table=table)
-        try:
-            ts = self.assign_timestamp()
-            old_values: Optional[Dict[str, Tuple[bytes, int]]] = None
-            if return_old:
-                indexed = descriptor.indexed_columns()
-                if indexed:
-                    old_values = yield from self.local_read_row(
-                        region, row, indexed, max_ts=ts - 1, background=False)
-            cells = tuple(Cell(compose_cell_key(row, col), ts, None)
-                          for col in sorted(columns))
-            local_indexes = [ix for ix in descriptor.indexes.values()
-                             if ix.is_local]
-            if local_indexes:
-                extra = yield from plan_local_index_cells(
-                    self, region, row, None, ts, local_indexes)
-                cells = cells + tuple(extra)
-            record = self.wal.append(region.name, table, cells,
-                                     indexed=descriptor.has_indexes)
-            wal_span = self.tracer.start("wal_append", parent=span,
-                                         server=self.name)
-            # ``use(self.log_device, ...)`` inlined: the put path is hot
-            # enough that the extra generator frame per write shows up.
-            log_device = self.log_device
-            wal_cost = model.wal_append()
-            yield log_device.acquire()
-            try:
-                if wal_cost > 0:
-                    yield Timeout(wal_cost)
-            finally:
-                log_device.release()
-            wal_span.end()
-            region.tree.add_many(cells, seqno=record.seqno)
-            yield Timeout(model.memtable_op() * len(cells))
-            self.cluster.counters.incr("base_put")
-
-            for observer in self.cluster.observers_for(table):
-                yield from self._observer_hook(
-                    observer.post_delete, span, self, descriptor, row, ts)
-            return ts, old_values
-        finally:
-            span.end()
-            region.locks.release(row)
-
-    # -- batched base-table writes ---------------------------------------------
+        "deletion is handled similarly as put in LSM" (§4.3).  Same
+        contract as :meth:`handle_put`."""
+        return self._mutate(table, [("del", row, columns)], single=True,
+                            return_old=return_old)
 
     def handle_multi_put(self, table: str,
                          mutations: List[Tuple[str, bytes, Any]],
@@ -552,156 +410,193 @@ class RegionServer:
         for rows this server cannot serve (region moved, or closing for a
         split) — a partial batch never fails the whole RPC, the client
         re-routes just the rejected rows.
-
-        Lock-ordering rule: row locks are taken in sorted key order (each
-        row from its own region's lock table) and released in reverse, so
-        two concurrent batches with overlapping row sets cannot deadlock.
         """
-        for mutation in mutations:
-            self._check_row_key(mutation[1])
-        gated = yield from self._gate_entry(table)
-        try:
-            return (yield from self._with_handler(
-                lambda: self._multi_put_body(table, mutations)))
-        finally:
-            if gated:
-                self.put_inflight.decrement()
+        return self._mutate(table, mutations)
 
-    def _multi_put_body(self, table: str,
-                        mutations: List[Tuple[str, bytes, Any]],
-                        ) -> Generator[Any, Any, List[Tuple[str, Any]]]:
-        model = self.cluster.model
-        descriptor = self.cluster.descriptor(table)
-        results: List[Optional[Tuple[str, Any]]] = [None] * len(mutations)
+    # The three entries above are plain functions returning the
+    # ``_mutate`` coroutine: every yield of a write, its index maintenance
+    # included, resumes each generator frame above it, so the whole write
+    # runs in that one frame.
 
-        # Admission: route every row to a hosted OPEN region; rejected
-        # rows answer ("retry", ...) individually instead of poisoning
-        # their batch-mates.
+    def _admit(self, table: str, mutations: List[Tuple[str, bytes, Any]],
+               single: bool, results: List[Optional[Tuple[str, Any]]],
+               ) -> List[Tuple[int, str, bytes, Any, Region]]:
+        """Route every row to a hosted OPEN region.  A rejected row
+        answers ``("retry", reason)`` in ``results`` instead of poisoning
+        its batch-mates — or, for a ``single``-row write, raises
+        :class:`NoSuchRegionError`."""
         admitted: List[Tuple[int, str, bytes, Any, Region]] = []
         for i, (kind, row, payload) in enumerate(mutations):
             try:
                 region = self._require_open_region(table, row)
             except NoSuchRegionError as exc:
+                if single:
+                    raise
                 results[i] = ("retry", str(exc))
                 continue
+            region.note_write()
             admitted.append((i, kind, row, payload, region))
-        if not admitted:
-            return results
+        return admitted
 
-        local_indexes = [ix for ix in descriptor.indexes.values()
-                         if ix.is_local]
-        # Wave split: local-index planning reads the old row at ts−δ, so
-        # a duplicate row inside one batch must see its earlier mutation
-        # already in the memtable — each wave holds distinct rows and gets
-        # its own group commit.  Without local indexes no such read
-        # happens and the whole batch is one wave.
-        waves: List[List[Tuple[int, str, bytes, Any, Region]]]
-        if local_indexes:
-            waves = []
-            current: List[Tuple[int, str, bytes, Any, Region]] = []
-            seen: set = set()
-            for item in admitted:
-                if item[2] in seen:
-                    waves.append(current)
-                    current, seen = [], set()
-                current.append(item)
-                seen.add(item[2])
-            if current:
-                waves.append(current)
-        else:
-            waves = [admitted]
-
-        # Row locks: sorted unique key order, duplicates share one
-        # acquisition, reverse-order release (see handle_multi_put).
-        row_region: Dict[bytes, Region] = {}
+    @staticmethod
+    def _waves(admitted: List[Tuple[int, str, bytes, Any, Region]],
+               ) -> List[List[Tuple[int, str, bytes, Any, Region]]]:
+        """Split a batch into waves of distinct rows.  Local-index planning
+        reads the old row at ts−δ, so a duplicate row inside one batch
+        must see its earlier mutation already in the memtable — each wave
+        gets its own group commit."""
+        waves = []
+        current: List[Tuple[int, str, bytes, Any, Region]] = []
+        seen: set = set()
         for item in admitted:
-            row_region.setdefault(item[2], item[4])
-        locked: List[bytes] = []
-        span = self.tracer.start("multi_put", server=self.name, table=table,
-                                 rows=len(mutations))
+            if item[2] in seen:
+                waves.append(current)
+                current, seen = [], set()
+            current.append(item)
+            seen.add(item[2])
+        waves.append(current)
+        return waves
+
+    def _mutate(self, table: str, mutations: List[Tuple[str, bytes, Any]],
+                single: bool = False, return_old: bool = False,
+                ) -> Generator[Any, Any, Any]:
+        """The one write path behind put, delete and multi_put: intake
+        gate → handler slot → row locks → WAL group commit → memtable →
+        coprocessors → ack.
+
+        A ``single``-row write (put/delete) returns ``(ts, old_values)``
+        and raises :class:`NoSuchRegionError` when its row is rejected —
+        inside the handler, as a failed RPC; ``return_old`` applies to it
+        only.  A batch returns per-row results (see
+        :meth:`handle_multi_put`).
+        """
+        for mutation in mutations:
+            self._check_row_key(mutation[1])
+        descriptor = self.cluster.descriptor(table)
+        # Intake gate: wait out a pre-flush drain BEFORE taking a handler
+        # slot (waiting inside the slot would let gated writes starve the
+        # APS deliveries the drain itself is waiting for).  Only a table
+        # with indexes can owe the drain AUQ work.
+        gated = descriptor.has_indexes
+        if gated:
+            if not self.auq_gate.is_open:
+                yield from self._wait_gate_open()
+            self.put_inflight.increment()
+        handlers = self.handlers
+        acquired = False
+        locked: List[Tuple[bytes, Region]] = []
         try:
-            for row in sorted(row_region):
-                yield row_region[row].locks.acquire(row)
-                locked.append(row)
+            # The handler slot: ``_with_handler``'s steps, inlined.
+            self._check_alive()
+            yield handlers.acquire()
+            acquired = True
+            model = self.cluster.model
+            yield Timeout(model._v(model.rpc_cpu_ms))
 
-            # (kind, row, values-or-None, ts) for the observer batch hook.
-            batch_rows: List[Tuple[str, bytes, Optional[Dict[str, bytes]],
-                                   int]] = []
-            for wave in waves:
-                planned = []     # (region, cells) aligned with the wave
-                wal_batch = []   # append_batch input
-                total_cells = 0
-                for i, kind, row, payload, region in wave:
-                    region.note_write()
-                    ts = self.assign_timestamp()
-                    if kind == "put":
-                        cells = tuple(
-                            Cell(compose_cell_key(row, col), ts, value)
-                            for col, value in sorted(payload.items()))
-                        new_values: Optional[Dict[str, bytes]] = payload
-                    else:
-                        cells = tuple(
-                            Cell(compose_cell_key(row, col), ts, None)
-                            for col in sorted(payload))
-                        new_values = None
-                    if local_indexes:
-                        # Same-record local index cells: crash-atomic with
-                        # the base row, exactly as the single-put path.
-                        extra = yield from plan_local_index_cells(
-                            self, region, row, new_values, ts, local_indexes)
-                        cells = cells + tuple(extra)
-                    planned.append((region, cells))
-                    wal_batch.append((region.name, table, cells,
-                                      descriptor.has_indexes))
-                    total_cells += len(cells)
-                    batch_rows.append((kind, row, new_values, ts))
-                    results[i] = ("ok", ts)
+            results: List[Optional[Tuple[str, Any]]] = [None] * len(mutations)
+            admitted = self._admit(table, mutations, single, results)
+            if not admitted:
+                return results
+            local_indexes = [ix for ix in descriptor.indexes.values()
+                             if ix.is_local]
+            # Without local indexes the whole batch is one wave.
+            waves = self._waves(admitted) if local_indexes else [admitted]
 
-                # Group commit: every mutation keeps its own WAL record
-                # and seqno; the log device is charged ONCE per wave.
-                records = self.wal.append_batch(wal_batch)
-                wal_span = self.tracer.start("wal_group_append", parent=span,
-                                             server=self.name,
-                                             records=len(records))
-                yield from use(self.log_device,
-                               model.wal_group_append(len(records)))
-                wal_span.end()
-                self.obs_wal_group.observe(len(records))
-                for (region, cells), record in zip(planned, records):
-                    region.tree.add_many(cells, seqno=record.seqno)
-                yield Timeout(model.memtable_op() * total_cells)
-            self.cluster.counters.incr("base_put", len(admitted))
-
-            # Index maintenance over the WHOLE batch (all waves): the
-            # coalesced hooks plan ops per row timestamp, so wave
-            # boundaries do not matter here.
-            for observer in self.cluster.observers_for(table):
-                yield from self._observer_batch(observer, span,
-                                                descriptor, batch_rows)
-            return results
-        finally:
-            span.end()
-            for row in reversed(locked):
-                row_region[row].locks.release(row)
-
-    def _observer_batch(self, observer, span, descriptor,
-                        batch_rows) -> Generator[Any, Any, None]:
-        """Dispatch one batch of mutations to a coprocessor: the batch
-        hook when the observer has one, else the per-row hooks — so
-        third-party observers written against the single-put interface
-        keep working under multi_put."""
-        hook = getattr(observer, "post_batch", None)
-        if hook is not None:
-            yield from self._observer_hook(hook, span,
-                                           self, descriptor, batch_rows)
-            return
-        for kind, row, values, ts in batch_rows:
-            if kind == "put":
-                yield from self._observer_hook(
-                    observer.post_put, span, self, descriptor, row, values, ts)
+            # Lock-ordering rule: row locks are taken in sorted key order
+            # (each row from its own region's lock table; a duplicate row
+            # shares one acquisition) and released in reverse, so two
+            # concurrent batches with overlapping rows cannot deadlock.
+            for _i, _kind, row, _payload, region in sorted(admitted,
+                                                           key=_ROW_KEY):
+                if not locked or locked[-1][0] != row:
+                    yield region.locks.acquire(row)
+                    locked.append((row, region))
+            if single:
+                span_name = "put" if mutations[0][0] == "put" else "delete"
             else:
-                yield from self._observer_hook(
-                    observer.post_delete, span, self, descriptor, row, ts)
+                span_name = "multi_put"
+            span = self.tracer.start(span_name, server=self.name,
+                                     table=table, rows=len(mutations))
+            try:
+                # (kind, row, values-or-None, ts) for the observer hook.
+                batch_rows: List[Tuple[str, bytes,
+                                       Optional[Dict[str, bytes]], int]] = []
+                old_values: Optional[Dict[str, Tuple[bytes, int]]] = None
+                for wave in waves:
+                    planned = []     # (region, cells, WAL record)
+                    total_cells = 0
+                    for i, kind, row, payload, region in wave:
+                        ts = self.assign_timestamp()
+                        if kind == "put":
+                            cells = tuple(
+                                Cell(compose_cell_key(row, col), ts, value)
+                                for col, value in sorted(payload.items()))
+                            new_values: Optional[Dict[str, bytes]] = payload
+                        else:
+                            cells = tuple(
+                                Cell(compose_cell_key(row, col), ts, None)
+                                for col in sorted(payload))
+                            new_values = None
+                        if return_old:
+                            # Session consistency's extra base read (§5.2).
+                            columns = descriptor.indexed_columns()
+                            if columns:
+                                old_values = yield from self.local_read_row(
+                                    region, row, columns, max_ts=ts - 1,
+                                    background=False)
+                        if local_indexes:
+                            # Local-index cells ride in the SAME WAL record
+                            # as the base row: the index is crash-atomic
+                            # with it (§3.1 — co-location pays off here).
+                            extra = yield from plan_local_index_cells(
+                                self, region, row, new_values, ts,
+                                local_indexes)
+                            cells = cells + tuple(extra)
+                        planned.append((region, cells, self.wal.append(
+                            region.name, table, cells,
+                            indexed=descriptor.has_indexes)))
+                        total_cells += len(cells)
+                        batch_rows.append((kind, row, new_values, ts))
+                        results[i] = ("ok", ts)
+
+                    # Group commit: every mutation keeps its own WAL record
+                    # and seqno; the log device is charged ONCE per wave,
+                    # and wal_group_append(1) == wal_append.  ``use`` is
+                    # inlined: one generator frame less on the hot path.
+                    group = len(planned)
+                    wal_span = self.tracer.start("wal_append", parent=span,
+                                                 server=self.name, rows=group)
+                    wal_cost = model.wal_group_append(group)
+                    log_device = self.log_device
+                    yield log_device.acquire()
+                    try:
+                        if wal_cost > 0:
+                            yield Timeout(wal_cost)
+                    finally:
+                        log_device.release()
+                    wal_span.end()
+                    self.obs_wal_group.observe(group)
+                    for region, cells, record in planned:
+                        region.tree.add_many(cells, seqno=record.seqno)
+                    yield Timeout(model.memtable_op() * total_cells)
+                self.cluster.counters.incr("base_put", len(admitted))
+
+                # Index maintenance over the WHOLE batch (all waves): the
+                # hooks plan ops per row timestamp, so wave boundaries do
+                # not matter here.
+                for observer in self.cluster.observers_for(table):
+                    yield from observer.post_batch(self, descriptor,
+                                                   batch_rows, span)
+                return (ts, old_values) if single else results
+            finally:
+                span.end()
+        finally:
+            for row, region in reversed(locked):
+                region.locks.release(row)
+            if acquired:
+                handlers.release()
+            if gated:
+                self.put_inflight.decrement()
 
     # -- base-table reads -----------------------------------------------------
 
@@ -800,109 +695,97 @@ class RegionServer:
 
     # -- index-table operations ---------------------------------------------------
 
-    def handle_index_put(self, table: str, index_key: bytes, ts: int,
-                         background: bool = False,
-                         ) -> Generator[Any, Any, None]:
-        yield from self._with_handler(
-            lambda: self._index_put_body(table, index_key, ts, background),
-            pool=self.index_handlers)
-
-    def _index_put_body(self, table, index_key, ts, background):
-        region = self._require_open_region(table, index_key)
-        region.note_write()
-        model = self.cluster.model
-        record = self.wal.append(region.name, table,
-                                 (Cell(index_key, ts, b""),))
-        yield from use(self.log_device, model.wal_append())
-        region.tree.add(Cell(index_key, ts, b""), seqno=record.seqno)
-        yield Timeout(model.memtable_op())
-        self.cluster.counters.incr(
-            "async_index_put" if background else "index_put")
-
-    def handle_index_delete(self, table: str, index_key: bytes, ts: int,
-                            background: bool = False,
-                            ) -> Generator[Any, Any, None]:
-        yield from self._with_handler(
-            lambda: self._index_delete_body(table, index_key, ts, background),
-            pool=self.index_handlers)
-
-    def _index_delete_body(self, table, index_key, ts, background):
-        region = self._require_open_region(table, index_key)
-        region.note_write()
-        model = self.cluster.model
-        record = self.wal.append(region.name, table,
-                                 (Cell(index_key, ts, None),))
-        yield from use(self.log_device, model.wal_append())
-        region.tree.add(Cell(index_key, ts, None), seqno=record.seqno)
-        yield Timeout(model.memtable_op())
-        self.cluster.counters.incr(
-            "async_index_delete" if background else "index_delete")
-
     def handle_index_ops(self, ops: List[Tuple[str, str, bytes, int]],
-                         background: bool = True,
+                         background: bool = True, index_pool: bool = False,
                          ) -> Generator[Any, Any, None]:
-        """Apply a batch of index puts/deletes under one handler slot and
-        one group-committed WAL write (APS batching, and the coalesced
-        index maintenance of the batched foreground path)."""
-        # Pool selection mirrors the single-op handlers: background
-        # (APS) deliveries compete for the REGULAR handler pool — the
-        # "background AUQ competes for system resource" effect of §8.2 —
-        # which is deadlock-safe because the APS holds no handler while
-        # calling out.  Foreground (sync-scheme) deliveries come from a
-        # put/multi_put handler that DOES hold its own slot, so they land
-        # on the target's dedicated index pool, exactly like
-        # handle_index_put/delete.
-        pool = self.handlers if background else self.index_handlers
-        yield from self._with_handler(
-            lambda: self._index_ops_body(ops, background), pool=pool)
+        """Apply a batch of ``("put"|"del", index_table, key, ts[, epoch])``
+        ops under one handler slot and one group-committed WAL write —
+        every index-table write (PI/DI of any scheme, APS batches, repair)
+        lands here.
 
-    def _index_ops_body(self, ops, background):
-        model = self.cluster.model
-        counters = self.cluster.counters
-        # Plan the whole batch FIRST, then append it as one group commit:
-        # a mid-batch routing error (region split/moved under us) leaves
-        # nothing applied, so the caller's whole-delivery retry cannot
-        # double-count — and the counters below only ever see ops that
-        # actually landed.
-        planned: List[Tuple[Region, str, Cell]] = []
-        puts = dels = 0
-        for op in ops:
-            kind, table, key, ts = op[0], op[1], op[2], op[3]
-            if len(op) > 4:
-                # Epoch-tagged op (APS / DDL backfill): drop it if the
-                # target index was dropped — or dropped and recreated —
-                # since the op was planned.  Applying it anyway would
-                # resurrect a pre-drop image in the new index.
-                live = self.cluster.index_by_table.get(table)
-                if live is None or live.created_epoch != op[4]:
-                    continue
-            region = self._require_open_region(table, key)
-            value = b"" if kind == "put" else None
-            planned.append((region, table, Cell(key, ts, value)))
-            if kind == "put":
-                puts += 1
-            else:
-                dels += 1
-        if not planned:
-            return
-        # Group commit: one sequential write covers the whole batch; the
-        # per-record cost beyond the first is the marginal buffer copy.
-        records = self.wal.append_batch(
-            [(region.name, table, (cell,), False)
-             for region, table, cell in planned])
-        for (region, _table, cell), record in zip(planned, records):
-            region.note_write()
-            region.tree.add(cell, seqno=record.seqno)
-        applied = len(planned)
-        yield from use(self.log_device, model.wal_group_append(applied))
-        self.obs_wal_group.observe(applied)
-        yield Timeout(model.memtable_op() * applied)
-        if puts:
-            counters.incr("async_index_put" if background else "index_put",
-                          puts)
-        if dels:
-            counters.incr("async_index_delete" if background
-                          else "index_delete", dels)
+        ``background`` picks the Table 2 counter family (``async_*`` vs
+        synchronous).  ``index_pool`` picks the handler pool, separately:
+        a caller that itself holds a handler slot (a put/delete/multi_put
+        handler, including its AUQ-overflow apply) must land on the
+        target's dedicated index pool, or two servers whose write handlers
+        wait on each other would deadlock — the cross-coprocessor-RPC
+        hazard HBase avoids with priority queues.  Callers holding no slot
+        (APS workers, blind ships, DDL backfill) compete for the REGULAR
+        pool — the "background AUQ competes for system resource" effect
+        of §8.2."""
+        # The handler slot: ``_with_handler``'s steps, inlined (hot path).
+        self._check_alive()
+        pool = self.index_handlers if index_pool else self.handlers
+        yield pool.acquire()
+        try:
+            model = self.cluster.model
+            yield Timeout(model._v(model.rpc_cpu_ms))
+            # Plan the whole batch FIRST, then log it as one group commit:
+            # a mid-batch routing error (region split/moved under us)
+            # leaves nothing applied, so the caller's whole-delivery retry
+            # cannot double-count — and the counters below only ever see
+            # ops that actually landed.
+            live_indexes = self.cluster.index_by_table
+            planned: List[Tuple[Region, str, Cell]] = []
+            for op in ops:
+                table = op[1]
+                if len(op) > 4:
+                    # Epoch-tagged op: drop it if the target index was
+                    # dropped — or dropped and recreated — since the op
+                    # was planned.  Applying it anyway would resurrect a
+                    # pre-drop image in the new index.
+                    live = live_indexes.get(table)
+                    if live is None or live.created_epoch != op[4]:
+                        continue
+                planned.append((self._require_open_region(table, op[2]),
+                                table, Cell(op[2], op[3],
+                                            b"" if op[0] == "put" else None)))
+            if not planned:
+                return
+            # Group commit: one sequential write covers the whole batch;
+            # the per-record cost beyond the first is the marginal buffer
+            # copy.  The entries become visible only once the log write is
+            # durable.  ``use`` is inlined, as on the base write path.
+            wal = self.wal
+            records = [wal.append(region.name, table, (cell,))
+                       for region, table, cell in planned]
+            applied = len(records)
+            wal_cost = model.wal_group_append(applied)
+            log_device = self.log_device
+            yield log_device.acquire()
+            try:
+                if wal_cost > 0:
+                    yield Timeout(wal_cost)
+            finally:
+                log_device.release()
+            # No row lock covers an index entry, so a split/migration
+            # close may have flushed this region, or moved it away, during
+            # the log write (a close leaves ``closing`` set on the region
+            # it hands off): an insert now would miss the flushed image.
+            # Reject the whole batch instead, like any write to a closing
+            # region; the caller's retry re-routes it.
+            for region, _table, _cell in planned:
+                if region.closing:
+                    raise NoSuchRegionError(
+                        f"region {region.name} on {self.name} closed "
+                        f"during an index write")
+            self.obs_wal_group.observe(applied)
+            puts = 0
+            for (region, _table, cell), record in zip(planned, records):
+                region.note_write()
+                region.tree.add(cell, seqno=record.seqno)
+                if cell.value is not None:
+                    puts += 1
+            yield Timeout(model.memtable_op() * applied)
+            counters = self.cluster.counters
+            if puts:
+                counters.incr("async_index_put" if background
+                              else "index_put", puts)
+            if applied > puts:
+                counters.incr("async_index_delete" if background
+                              else "index_delete", applied - puts)
+        finally:
+            pool.release()
 
     def handle_index_scan(self, table: str, key_range: KeyRange,
                           limit: Optional[int] = None,
@@ -1052,60 +935,65 @@ class RegionServer:
 
     # -- AUQ ----------------------------------------------------------------------
 
-    def enqueue_index_task(self, task: IndexTask) -> Generator[Any, Any, None]:
-        """AU1 second half: queue the index work.
-
-        The intake gate is checked once, at put entry — a put that passed
-        it must NOT wait here again (the drain barrier is already waiting
-        for this very put via ``put_inflight``, so a second wait would
-        deadlock the flush).  The barrier ordering stays sound: the drain
-        waits for in-flight puts *before* checking queue emptiness, so an
-        entry enqueued by an admitted put is always seen."""
-        watermark = self.config.auq_high_watermark
-        if watermark is not None and len(self.auq) >= watermark:
-            yield from self._apply_degraded_sync(task)
-            return
-        yield Timeout(self.cluster.model._v(self.cluster.model.auq_enqueue_ms))
-        self.auq.put(task)
-        self.obs_auq_depth.set(len(self.auq))
-
     def enqueue_index_tasks(self, tasks: List[IndexTask],
                             ) -> Generator[Any, Any, None]:
-        """Batched AU1: queue one batch's index tasks under ONE enqueue
-        charge and ONE watermark check (the lock-hold coalescing of the
-        batched write path).  Same gate semantics as the single-task
-        form: the intake gate was already checked at multi_put entry."""
+        """AU1 second half: queue one write's index tasks under ONE
+        enqueue charge and ONE watermark check.
+
+        The intake gate is checked once, at write entry — a write that
+        passed it must NOT wait here again (the drain barrier is already
+        waiting for this very write via ``put_inflight``, so a second wait
+        would deadlock the flush).  The barrier ordering stays sound: the
+        drain waits for in-flight writes *before* checking queue
+        emptiness, so an entry enqueued by an admitted write is always
+        seen."""
         if not tasks:
             return
         watermark = self.config.auq_high_watermark
         if watermark is not None and len(self.auq) >= watermark:
-            for task in tasks:
-                yield from self._apply_degraded_sync(task)
+            yield from self._apply_degraded_sync(tasks)
             return
         yield Timeout(self.cluster.model._v(self.cluster.model.auq_enqueue_ms))
         for task in tasks:
             self.auq.put(task)
         self.obs_auq_depth.set(len(self.auq))
 
-    def _apply_degraded_sync(self, task: IndexTask) -> Generator[Any, Any, None]:
+    def _apply_degraded_sync(self, tasks: List[IndexTask],
+                             ) -> Generator[Any, Any, None]:
         """AUQ overflow fallback: at the high watermark the enqueue runs
-        the maintenance synchronously (Algorithm 4 order, §4's bounded-queue
-        degradation) instead of deepening the backlog.  Deadlock-safe for
-        the same reason the sync-full path is: remote index ops land on the
-        target's dedicated index-handler pool.  On RPC failure the task
-        falls back into the queue — correctness over backpressure."""
-        self.obs_auq_degraded.inc()
+        the maintenance synchronously (Algorithm 4 order: RB, DI, PI —
+        §4's bounded-queue degradation) instead of deepening the backlog.
+        The ops count as async work but land on the targets' index-handler
+        pools: this write still holds its own handler slot, so the regular
+        pool could deadlock.  On RPC failure the tasks fall back into the
+        queue — correctness over backpressure."""
+        self.obs_auq_degraded.inc(len(tasks))
+        ctx = self.op_context
         try:
-            yield from maintain_indexes(self.op_context, task,
-                                        background=True, insert_first=False)
+            delete_ops: List[tuple] = []
+            insert_ops: List[tuple] = []
+            for task in tasks:
+                touched = touched_indexes(ctx.table_descriptor(task.table),
+                                          task)
+                dels = yield from plan_delete_ops(ctx, task, touched,
+                                                  background=True)
+                delete_ops.extend(dels)
+                insert_ops.extend(plan_insert_ops(task, touched))
+            yield from ship_index_ops(ctx, delete_ops, background=True,
+                                      site="index_di", index_pool=True)
+            yield from ship_index_ops(ctx, insert_ops, background=True,
+                                      site="index_pi", index_pool=True)
         except (NoSuchRegionError, RpcError):
             # NoSuchRegionError: the target index region moved (split or
             # migration) between locate and delivery — same retry story as
             # a lost RPC.
-            self.auq.put(task)
+            for task in tasks:
+                self.auq.put(task)
             self.obs_auq_depth.set(len(self.auq))
             return
-        self.staleness.record(task.ts, self.sim.now())
+        now = self.sim.now()
+        for task in tasks:
+            self.staleness.record(task.ts, now)
 
     def degrade_to_auq(self, task: IndexTask) -> None:
         """§6.2: a failed synchronous index op is queued for retry; causal

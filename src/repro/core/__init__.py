@@ -3,7 +3,7 @@ getByIndex, session consistency, staleness tracking and verification."""
 
 from repro.core.adaptive import (AdaptiveController, AdaptivePolicy,
                                  Decision, SloSignal)
-from repro.core.auq import IndexTask, maintain_indexes
+from repro.core.auq import IndexTask
 from repro.core.dense import DenseColumnCodec, DenseField
 from repro.core.maintenance import ScrubReport, rebuild_index, scrub_index
 from repro.core.coprocessor import IndexOpContext, RegionObserver
@@ -29,7 +29,7 @@ __all__ = [
     "RegionObserver", "IndexOpContext",
     "SyncFullObserver", "SyncInsertObserver", "AsyncObserver",
     "build_observers",
-    "IndexTask", "maintain_indexes",
+    "IndexTask",
     "IndexHit", "get_by_index", "index_scan_range",
     "Session", "StalenessTracker",
     "IndexReport", "check_index",

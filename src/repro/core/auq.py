@@ -8,8 +8,12 @@ receives *failed* synchronous index operations — the paper's §6.2
 durability degradation: a sync-full put whose index RPC fails is not
 rolled back, its maintenance is retried here until it succeeds.
 
-The shared maintenance routine :func:`maintain_indexes` is used by both
-the synchronous observers and the APS so the two paths cannot drift.
+Every path picks a task's indexes with :func:`touched_indexes`, plans
+its index ops with :func:`plan_insert_ops` / :func:`plan_delete_ops` and
+writes them with :func:`ship_index_ops` (the APS with per-target
+``IndexOpContext.index_ops_batch`` deliveries, for its own retry loop),
+so the synchronous observers, the overflow fallback and the APS cannot
+drift.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import NoSuchRegionError, RpcError
 from repro.core.index import extract_index_values, row_index_key
-from repro.core.schemes import IndexScheme
 from repro.lsm.types import DELTA_MS
 from repro.sim.kernel import Timeout
 from repro.sim.scatter import scatter_gather
@@ -26,13 +29,16 @@ from repro.sim.scatter import scatter_gather
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.coprocessor import IndexOpContext
 
-__all__ = ["IndexTask", "maintain_indexes", "maintain_indexes_batch",
-           "aps_worker", "live_index_ops", "plan_insert_ops",
-           "plan_delete_ops", "ship_index_ops",
+__all__ = ["IndexTask", "aps_worker", "live_index_ops", "touched_indexes",
+           "plan_insert_ops", "plan_delete_ops", "plan_index_ops",
+           "ship_index_ops",
            "APS_RETRY_BACKOFF_MS", "APS_RETRY_BACKOFF_CAP_MS"]
 
 APS_RETRY_BACKOFF_MS = 5.0
 APS_RETRY_BACKOFF_CAP_MS = 80.0
+
+# Trace span per statement group; the scatter metric keeps the site name.
+_SPAN_FOR_SITE = {"index_pi": "PI", "index_di": "DI"}
 
 
 class IndexTask:
@@ -90,10 +96,11 @@ def _skip_for_epoch(task: IndexTask, index: Any) -> bool:
             and getattr(index, "created_epoch", 0) > task.epoch)
 
 
-def _touched_indexes(descriptor: Any, task: IndexTask) -> list:
+def touched_indexes(descriptor: Any, task: IndexTask) -> list:
     """The global indexes this task must maintain: owned by the task's
     scheme group, alive at the task's epoch, and (for a put) covering at
-    least one written column.  A row delete touches every owned index."""
+    least one written column.  A row delete touches every owned index.
+    ``descriptor`` is the base table's :class:`TableDescriptor`."""
     touched = []
     for index in descriptor.indexes.values():
         if index.is_local:
@@ -108,124 +115,15 @@ def _touched_indexes(descriptor: Any, task: IndexTask) -> list:
     return touched
 
 
-def _fan_out(ctx: "IndexOpContext", thunks: list, site: str,
-             ) -> Generator[Any, Any, None]:
-    """Run one statement group (all PIs, or all DIs) in parallel.
-
-    The group members target *distinct* index tables (one op per index),
-    so they commute; the group boundary is a barrier, which is what keeps
-    the per-index SU2→SU3→SU4 (or BA2→BA3→BA4) statement order intact.
-    A single op skips the scatter machinery entirely.
-    """
-    if not thunks:
-        return
-    if len(thunks) == 1:
-        yield from thunks[0]()
-        return
-    server = ctx.server
-    yield scatter_gather(server.sim, thunks,
-                         max_fanout=server.config.scatter_max_fanout,
-                         name=site, metrics=server.cluster.metrics, site=site)
-
-
-def maintain_indexes(ctx: "IndexOpContext", task: IndexTask,
-                     background: bool, insert_first: bool,
-                     span: Any = None) -> Generator[Any, Any, None]:
-    """Run PI / RB / DI for every index the mutation touches.
-
-    ``insert_first`` selects the statement order: the synchronous path
-    follows Algorithm 1 (SU2 insert, SU3 read, SU4 delete); the APS
-    follows Algorithm 4 (BA2 read, BA3 delete, BA4 insert).  Both orders
-    converge because entries carry base timestamps.
-
-    Ops within one statement group fan out to their (distinct) index
-    regions in parallel; no timestamp is assigned inside the group (every
-    entry carries the base ts fixed at SU1), so parallel landing order
-    cannot perturb the δ arithmetic of §4.3.
-
-    Raises :class:`RpcError` if any step ultimately fails — the caller
-    decides whether to queue a retry (sync path) or back off (APS).
-    """
-    touched = _touched_indexes(ctx.table_descriptor(task.table), task)
-    if not touched:
-        return
-
-    inserts = []
-    if task.new_values is not None:
-        for index in touched:
-            new_tuple = extract_index_values(index, task.new_values)
-            if new_tuple is not None:
-                inserts.append(
-                    (index, row_index_key(index, new_tuple, task.row)))
-
-    insert_thunks = [
-        (lambda index=index, key=key:
-         ctx.index_put(index.table_name, key, task.ts,
-                       background=background, span=span))
-        for index, key in inserts]
-
-    if insert_first:
-        yield from _fan_out(ctx, insert_thunks, "index_pi")          # SU2
-
-    # One base read covers every index (Table 2: sync-full pays 1 Base Read).
-    columns = sorted({col for index in touched for col in index.columns})
-    old_row = yield from ctx.base_read(                              # SU3/BA2
-        task.table, task.row, columns, max_ts=task.ts - DELTA_MS,
-        background=background, span=span)
-    old_values = {col: value for col, (value, _ts) in old_row.items()}
-
-    delete_thunks = []                                               # SU4/BA3
-    for index in touched:
-        old_tuple = extract_index_values(index, old_values)
-        if old_tuple is None:
-            continue
-        old_key = row_index_key(index, old_tuple, task.row)
-        delete_thunks.append(
-            lambda index=index, old_key=old_key:
-            ctx.index_delete(index.table_name, old_key,
-                             task.ts - DELTA_MS,
-                             background=background, span=span))
-    yield from _fan_out(ctx, delete_thunks, "index_di")
-
-    if not insert_first:
-        yield from _fan_out(ctx, insert_thunks, "index_pi")          # BA4
-
-
-def maintain_insert_only(ctx: "IndexOpContext", task: IndexTask,
-                         span: Any = None) -> Generator[Any, Any, None]:
-    """The sync-insert update path: SU1+SU2 only, skipping SU3/SU4 (§4.2).
-
-    Stale entries are left behind on purpose; the read path repairs them
-    (Algorithm 2 in :mod:`repro.core.reader`).
-    """
-    if task.new_values is None:
-        return  # a delete inserts nothing; stale entries wait for read-repair
-    descriptor = ctx.table_descriptor(task.table)
-    for index in descriptor.indexes.values():
-        if index.is_local:
-            continue  # local indexes are maintained inside the put record
-        if task.index_names is not None and index.name not in task.index_names:
-            continue
-        if _skip_for_epoch(task, index):
-            continue
-        if not any(col in task.new_values for col in index.columns):
-            continue
-        new_tuple = extract_index_values(index, task.new_values)
-        if new_tuple is None:
-            continue
-        key = row_index_key(index, new_tuple, task.row)
-        yield from ctx.index_put(index.table_name, key, task.ts,
-                                 background=False, span=span)
-
-
-def plan_insert_ops(ctx: "IndexOpContext", task: IndexTask) -> list:
+def plan_insert_ops(task: IndexTask, touched: list) -> list:
     """SU2/BA4 for one task as a 5-tuple op list — pure computation, no
-    I/O: every insert carries the base ts fixed at SU1 plus the target
-    index's ``created_epoch`` for drop/recreate protection."""
+    I/O: every insert into a ``touched`` index carries the base ts fixed
+    at SU1 plus the target index's ``created_epoch`` for drop/recreate
+    protection."""
     if task.new_values is None:
         return []  # a delete inserts nothing
     ops = []
-    for index in _touched_indexes(ctx.table_descriptor(task.table), task):
+    for index in touched:
         new_tuple = extract_index_values(index, task.new_values)
         if new_tuple is not None:
             ops.append(("put", index.table_name,
@@ -235,13 +133,12 @@ def plan_insert_ops(ctx: "IndexOpContext", task: IndexTask) -> list:
     return ops
 
 
-def plan_delete_ops(ctx: "IndexOpContext", task: IndexTask,
+def plan_delete_ops(ctx: "IndexOpContext", task: IndexTask, touched: list,
                     background: bool,
                     span: Any = None) -> Generator[Any, Any, list]:
     """SU3/BA2+BA3-plan for one task: ONE versioned base read at
-    ``ts − δ`` covering every touched index, then the DI op list (each
+    ``ts − δ`` covering every ``touched`` index, then the DI op list (each
     delete tombstones at ``ts − δ``, the §4.3 arithmetic)."""
-    touched = _touched_indexes(ctx.table_descriptor(task.table), task)
     if not touched:
         return []
     columns = sorted({col for index in touched for col in index.columns})
@@ -266,68 +163,71 @@ def plan_index_ops(ctx: "IndexOpContext", task: IndexTask,
     ``("del"|"put", index_table, key, ts, epoch)`` tuples (deletes first —
     Algorithm 4's BA3 before BA4).  The trailing ``epoch`` is the target
     index's ``created_epoch`` at planning time, so delivery can drop ops
-    whose index was dropped (or dropped and recreated) in the meantime."""
-    dels = yield from plan_delete_ops(ctx, task, background=True, span=span)
-    return dels + plan_insert_ops(ctx, task)
+    whose index was dropped (or dropped and recreated) in the meantime.
+    The insert set is re-derived after the read: a DDL may land during
+    it."""
+    dels = yield from plan_delete_ops(
+        ctx, task, touched_indexes(ctx.table_descriptor(task.table), task),
+        background=True, span=span)
+    return dels + plan_insert_ops(
+        task, touched_indexes(ctx.table_descriptor(task.table), task))
 
 
 def ship_index_ops(ctx: "IndexOpContext", ops: list, background: bool,
-                   site: str, span: Any = None) -> Generator[Any, Any, None]:
-    """Deliver ONE statement group's ops as per-target batched RPCs.
+                   index_pool: bool, site: str, span: Any = None,
+                   ) -> Generator[Any, Any, None]:
+    """Deliver ONE statement group's ops (all PIs, or all DIs) as
+    per-target batched RPCs — the one way index entries are written.
 
     Ops bound for the same region server travel in one
     ``handle_index_ops`` call and share one group-committed WAL write;
     distinct targets fan out in parallel.  The call returns only when
-    every delivery landed — it is the statement-group barrier of the
-    batched foreground path (all PIs before any DI leaves).
+    every delivery landed — it is the statement-group barrier that keeps
+    the PI-before-DI order (all PIs land before any DI leaves).  No
+    timestamp is assigned here: every entry carries the base ts fixed at
+    SU1, so parallel landing order cannot perturb the δ arithmetic of
+    §4.3.  ``background`` and ``index_pool`` pass straight through to
+    :meth:`RegionServer.handle_index_ops`.
 
     Raises on a stale route (``NoSuchRegionError``) or lost RPC; the
     caller owns the retry/degrade policy.
     """
-    ops = live_index_ops(ctx.server.cluster, ops)
+    if not ops:
+        return
+    server = ctx.server
+    cluster = server.cluster
+    # A drop may have landed since planning (a DI's plan spans its read).
+    ops = live_index_ops(cluster, ops)
     if not ops:
         return
     groups: Dict[Any, list] = {}
     for op in ops:
-        target, _region = ctx.server.cluster.locate(op[1], op[2])
+        target, _region = cluster.locate(op[1], op[2])
         groups.setdefault(target, []).append(op)
-    obs = ctx._span(site, span)
+    obs = cluster.tracer.start(_SPAN_FOR_SITE[site], parent=span,
+                               server=server.name, rows=len(ops))
     try:
-        thunks = [(lambda t=target, group=group:
-                   ctx.index_ops_batch(t, group, background=background))
-                  for target, group in groups.items()]
-        yield from _fan_out(ctx, thunks, site)
+        if len(groups) > 1:
+            yield scatter_gather(
+                server.sim,
+                [(lambda t=target, group=group:
+                  ctx.index_ops_batch(t, group, background, index_pool))
+                 for target, group in groups.items()],
+                max_fanout=server.config.scatter_max_fanout,
+                name=site, metrics=cluster.metrics, site=site)
+            return
+        # One target (the common case): deliver in this frame, without
+        # the scatter machinery or another generator layer.
+        (target, group), = groups.items()
+        if target is server:
+            yield from server.handle_index_ops(group, background, index_pool)
+        else:
+            yield from cluster.network.call(
+                target,
+                lambda: target.handle_index_ops(group, background,
+                                                index_pool))
     finally:
         obs.end()
-
-
-def maintain_indexes_batch(ctx: "IndexOpContext", tasks: list,
-                           span: Any = None) -> Generator[Any, Any, None]:
-    """§8.2's batching applied to the FOREGROUND sync-full path: run
-    Algorithm 1 for a whole multi_put batch as three phases —
-
-    1. SU2: PI ops for EVERY row, grouped per target index region, one
-       RPC + one group commit per group;
-    2. SU3: one versioned base read per row at its own ``ts − δ``;
-    3. SU4: DI ops grouped and shipped the same way.
-
-    The phase boundary is a barrier, so the PI-before-DI statement-group
-    order holds for every row at once; each row keeps the timestamps
-    fixed at its SU1, so coalescing cannot perturb the δ arithmetic or
-    the per-row staleness semantics.
-    """
-    insert_ops = []
-    for task in tasks:
-        insert_ops.extend(plan_insert_ops(ctx, task))
-    yield from ship_index_ops(ctx, insert_ops, background=False,    # SU2
-                              site="index_pi", span=span)
-    delete_ops = []
-    for task in tasks:                                              # SU3
-        dels = yield from plan_delete_ops(ctx, task, background=False,
-                                          span=span)
-        delete_ops.extend(dels)
-    yield from ship_index_ops(ctx, delete_ops, background=False,    # SU4
-                              site="index_di", span=span)
 
 
 def live_index_ops(cluster: Any, ops: list) -> list:
@@ -345,7 +245,7 @@ def live_index_ops(cluster: Any, ops: list) -> list:
     for op in ops:
         if len(op) > 4:
             live = by_table.get(op[1])
-            if live is None or getattr(live, "created_epoch", 0) != op[4]:
+            if live is None or live.created_epoch != op[4]:
                 continue
         kept.append(op)
     return kept

@@ -3,20 +3,22 @@
 HBase coprocessors are the extension point Diff-Index is built on (§7):
 "they listen to and intercept each data entry made to the hosting table,
 and act based on the schemes they implement."  A :class:`RegionObserver`
-registers for ``post_put`` / ``post_delete`` (inside the put RPC, after
-the base write, before the ack) and ``pre_flush`` (the pause-and-drain
-hook of Figure 5).
+has two hooks: ``post_batch`` (inside the write RPC, after the base
+write, before the ack) and ``pre_flush`` (the pause-and-drain hook of
+Figure 5).  Every write — a single put or delete is a batch of one —
+reaches an observer through ``post_batch``.
 
 :class:`IndexOpContext` is the toolbox handed to observers and to the
-APS: routed index puts/deletes and versioned base reads, each charged to
-the simulated devices and tallied in the Table 2 counters.
+APS: versioned base reads and per-server batched index-op deliveries,
+each charged to the simulated devices and tallied in the Table 2
+counters.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.errors import NoSuchRegionError
+from repro.errors import RpcError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.server import RegionServer
@@ -28,22 +30,18 @@ __all__ = ["RegionObserver", "IndexOpContext"]
 class RegionObserver:
     """Base class; hooks are generator coroutines so they may do I/O.
 
-    ``span`` is the root tracing span of the enclosing put/delete RPC
+    ``post_batch`` receives the write's rows as ``(kind, row, values,
+    ts)`` tuples — ``kind`` is ``"put"`` or ``"del"``, ``values`` is None
+    for a delete — and ``span``, the root tracing span of the write RPC
     (see :mod:`repro.obs.tracing`); hooks parent their own spans to it so
     a mutation's full PI/RB/DI (or enqueue → APS-apply) story is one
-    trace tree.  Observers written without the parameter still work —
-    the server falls back to the span-less call form.
+    trace tree.
     """
 
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        return
-        yield  # pragma: no cover
-
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
+    def post_batch(self, server: "RegionServer", table: TableDescriptor,
+                   rows: List[Tuple[str, bytes, Optional[Dict[str, bytes]],
+                                    int]],
+                   span: Any) -> Generator[Any, Any, None]:
         return
         yield  # pragma: no cover
 
@@ -96,66 +94,20 @@ class IndexOpContext:
         finally:
             obs.end()
 
-    def _index_target(self, index_table: str, key: bytes):
-        try:
-            return self.server.cluster.locate(index_table, key)
-        except NoSuchRegionError:
-            # Mid-recovery: surface as an RPC failure so callers retry.
-            from repro.errors import RpcError
-            raise RpcError(f"no region for {index_table!r} (recovering)")
-
-    def index_put(self, index_table: str, key: bytes, ts: int,
-                  background: bool, span: Any = None,
-                  ) -> Generator[Any, Any, None]:
-        """PI: insert one key-only index entry, carrying the base ts."""
-        obs = self._span("PI", span)
-        try:
-            target_server, _ = self._index_target(index_table, key)
-            if target_server is self.server:
-                yield from self.server.handle_index_put(
-                    index_table, key, ts, background=background)
-                return
-            yield from self.server.cluster.network.call(
-                target_server,
-                lambda: target_server.handle_index_put(index_table, key, ts,
-                                                       background=background))
-        finally:
-            obs.end()
-
     def index_ops_batch(self, target: Any, ops: list,
-                        background: bool = True,
+                        background: bool = True, index_pool: bool = False,
                         ) -> Generator[Any, Any, None]:
         """Deliver a batch of ("put"|"del", table, key, ts) ops to one
         server in a single RPC with one group-committed log write — the
-        AUQ batching the paper credits async's throughput edge to.
-        ``background=False`` is the foreground (multi_put) coalesced
-        variant: it lands on the target's dedicated index-handler pool
-        and tallies the synchronous Table 2 counters."""
+        AUQ batching the paper credits async's throughput edge to.  The
+        defaults are the APS's: async counters, regular handler pool (see
+        :meth:`RegionServer.handle_index_ops`)."""
         if target is None:
-            from repro.errors import RpcError
             raise RpcError("no route for batched index ops (recovering)")
         if target is self.server:
-            yield from self.server.handle_index_ops(ops,
-                                                    background=background)
+            yield from self.server.handle_index_ops(ops, background,
+                                                    index_pool)
             return
         yield from self.server.cluster.network.call(
             target,
-            lambda: target.handle_index_ops(ops, background=background))
-
-    def index_delete(self, index_table: str, key: bytes, ts: int,
-                     background: bool, span: Any = None,
-                     ) -> Generator[Any, Any, None]:
-        """DI: tombstone one index entry at ``ts`` (= base ``t_new − δ``)."""
-        obs = self._span("DI", span)
-        try:
-            target_server, _ = self._index_target(index_table, key)
-            if target_server is self.server:
-                yield from self.server.handle_index_delete(
-                    index_table, key, ts, background=background)
-                return
-            yield from self.server.cluster.network.call(
-                target_server,
-                lambda: target_server.handle_index_delete(
-                    index_table, key, ts, background=background))
-        finally:
-            obs.end()
+            lambda: target.handle_index_ops(ops, background, index_pool))

@@ -100,7 +100,8 @@ def _repair_missing(cluster: "MiniCluster", client: "Client",
             yield from cluster.network.call(
                 target_server,
                 lambda s=target_server, k=key, t=ts:
-                s.handle_index_put(index.table_name, k, t))
+                s.handle_index_ops([("put", index.table_name, k, t)],
+                                   background=False, index_pool=True))
             inserted += 1
     return inserted
 

@@ -27,9 +27,8 @@ from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple, \
     TYPE_CHECKING
 
 from repro.errors import NoSuchRegionError, RpcError
-from repro.core.auq import (IndexTask, maintain_indexes,
-                            maintain_indexes_batch, maintain_insert_only,
-                            plan_insert_ops, ship_index_ops)
+from repro.core.auq import (IndexTask, plan_delete_ops, plan_insert_ops,
+                            ship_index_ops, touched_indexes)
 from repro.core.coprocessor import RegionObserver
 from repro.core.schemes import IndexScheme
 
@@ -40,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SyncFullObserver", "SyncInsertObserver", "ValidationObserver",
            "AsyncObserver", "build_observers"]
 
+# One write's rows as post_batch receives them: (kind, row, values, ts).
+Rows = List[Tuple[str, bytes, Optional[Dict[str, bytes]], int]]
+
 
 def _owned_indexes(table: TableDescriptor,
                    schemes: FrozenSet[IndexScheme]) -> Tuple[str, ...]:
@@ -47,78 +49,76 @@ def _owned_indexes(table: TableDescriptor,
                  if index.scheme in schemes and not index.is_local)
 
 
-def _span_id(span: Any) -> Any:
-    return getattr(span, "span_id", None)
+def _tasks(server: "RegionServer", table: TableDescriptor, rows: Rows,
+           names: Tuple[str, ...], span: Any,
+           puts_only: bool = False) -> List[IndexTask]:
+    """One :class:`IndexTask` per row (deletes skipped when
+    ``puts_only``), restricted to the observer's own indexes."""
+    now = server.sim.now()
+    span_id = getattr(span, "span_id", None)
+    epoch = server.cluster.ddl_epoch
+    return [IndexTask(table.name, row, values, ts, enqueued_at=now,
+                      index_names=names, span_id=span_id, epoch=epoch)
+            for _kind, row, values, ts in rows
+            if values is not None or not puts_only]
+
+
+def _insert_ops(table: TableDescriptor, tasks: List[IndexTask]) -> list:
+    """Every task's PI ops, in task order."""
+    ops: list = []
+    for task in tasks:
+        ops.extend(plan_insert_ops(task, touched_indexes(table, task)))
+    return ops
 
 
 class SyncFullObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.SYNC_FULL})
 
-    def _task(self, server: "RegionServer", table: TableDescriptor,
-              row: bytes, values, ts: int, span: Any) -> IndexTask:
-        return IndexTask(table.name, row, values, ts,
-                         enqueued_at=server.sim.now(),
-                         index_names=_owned_indexes(table, self.SCHEMES),
-                         span_id=_span_id(span),
-                         epoch=server.cluster.ddl_epoch)
+    def post_batch(self, server: "RegionServer", table: TableDescriptor,
+                   rows: Rows, span: Any) -> Generator[Any, Any, None]:
+        """Algorithm 1 for the whole write as three phases — §8.2's
+        batching on the foreground path:
 
-    def _maintain(self, server: "RegionServer", task: IndexTask,
-                  span: Any) -> Generator[Any, Any, None]:
-        # `fanout` tags how many indexes this mutation's PI/DI groups may
-        # scatter across (the width of the parallel sync-full fan-out).
+        1. SU2: PI ops for EVERY row, grouped per target index server,
+           one RPC + one group commit per group;
+        2. SU3: one versioned base read per row at its own ``ts − δ``;
+        3. SU4: DI ops grouped and shipped the same way.
+
+        The phase boundary is a barrier, so the PI-before-DI order holds
+        for every row at once; each row keeps the timestamps fixed at its
+        SU1, so batching cannot perturb the δ arithmetic or the per-row
+        staleness semantics.  A single put is the batch of one.
+        """
+        names = _owned_indexes(table, self.SCHEMES)
+        if not names:
+            return
+        tasks = _tasks(server, table, rows, names, span)
+        ctx = server.op_context
         obs = server.tracer.start("sync_index", parent=span, scheme="full",
-                                  server=server.name,
-                                  fanout=len(task.index_names or ()))
+                                  server=server.name, rows=len(tasks))
         try:
-            yield from maintain_indexes(server.op_context, task,
-                                        background=False, insert_first=True,
-                                        span=obs)
+            # One index set per row, fixed before SU2 and shared by SU3/4.
+            touched = [touched_indexes(table, task) for task in tasks]
+            inserts = []
+            for task, indexes in zip(tasks, touched):
+                inserts.extend(plan_insert_ops(task, indexes))
+            yield from ship_index_ops(ctx, inserts, background=False,  # SU2
+                                      index_pool=True, site="index_pi",
+                                      span=obs)
+            deletes = []
+            for task, indexes in zip(tasks, touched):                  # SU3
+                dels = yield from plan_delete_ops(ctx, task, indexes,
+                                                  background=False, span=obs)
+                deletes.extend(dels)
+            yield from ship_index_ops(ctx, deletes, background=False,  # SU4
+                                      index_pool=True, site="index_di",
+                                      span=obs)
         except (NoSuchRegionError, RpcError):
             # Stale route from a concurrent split/move counts as a
-            # transient failure: hand the task to the AUQ, whose retry
-            # loop re-resolves the owner.
-            server.degrade_to_auq(task)
-        finally:
-            obs.end()
-
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        task = self._task(server, table, row, values, ts, span)
-        if not task.index_names:
-            return
-        yield from self._maintain(server, task, span)
-
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        task = self._task(server, table, row, None, ts, span)
-        if not task.index_names:
-            return
-        yield from self._maintain(server, task, span)
-
-    def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[str, bytes,
-                                          Optional[Dict[str, bytes]], int]],
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """Coalesced Algorithm 1 for a whole multi_put batch: one PI
-        phase (grouped per target region), a barrier, per-row RB, one
-        grouped DI phase — §8.2's batching on the foreground path."""
-        tasks = [self._task(server, table, row, values, ts, span)
-                 for _kind, row, values, ts in batch_rows]
-        tasks = [task for task in tasks if task.index_names]
-        if not tasks:
-            return
-        obs = server.tracer.start("sync_index_batch", parent=span,
-                                  scheme="full", server=server.name,
-                                  rows=len(tasks))
-        try:
-            yield from maintain_indexes_batch(server.op_context, tasks,
-                                              span=obs)
-        except (NoSuchRegionError, RpcError):
-            # Degrade the WHOLE batch to the AUQ (§6.2): every op carries
-            # its row's base timestamps, so re-running deliveries that
-            # already landed is idempotent — the APS converges the rest.
+            # transient failure.  Degrade the WHOLE write to the AUQ
+            # (§6.2): every op carries its row's base timestamps, so
+            # re-running deliveries that already landed is idempotent —
+            # the APS converges the rest.
             for task in tasks:
                 server.degrade_to_auq(task)
         finally:
@@ -128,63 +128,25 @@ class SyncFullObserver(RegionObserver):
 class SyncInsertObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.SYNC_INSERT})
 
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        task = IndexTask(table.name, row, values, ts,
-                         enqueued_at=server.sim.now(),
-                         index_names=_owned_indexes(table, self.SCHEMES),
-                         span_id=_span_id(span),
-                         epoch=server.cluster.ddl_epoch)
-        if not task.index_names:
-            return
-        obs = server.tracer.start("sync_index", parent=span, scheme="insert",
-                                  server=server.name)
-        try:
-            yield from maintain_insert_only(server.op_context, task, span=obs)
-        except (NoSuchRegionError, RpcError):
-            server.degrade_to_auq(task)
-        finally:
-            obs.end()
-
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        # Nothing to insert; the tombstoned row makes existing entries
-        # stale, and reads repair them (Algorithm 2).
-        return
-        yield  # pragma: no cover
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[str, bytes,
-                                          Optional[Dict[str, bytes]], int]],
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """Coalesced SU1+SU2: the batch's inserts grouped per target
-        index region, one RPC + one group commit per group.  Deletes
-        contribute nothing (read-repair owns their stale entries)."""
+                   rows: Rows, span: Any) -> Generator[Any, Any, None]:
+        """SU1+SU2 only (§4.2): the write's inserts grouped per target
+        index server, one RPC + one group commit per group.  Deletes
+        contribute nothing: the tombstoned row makes existing entries
+        stale, and reads repair them (Algorithm 2)."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
-        tasks = [IndexTask(table.name, row, values, ts,
-                           enqueued_at=server.sim.now(), index_names=names,
-                           span_id=_span_id(span),
-                           epoch=server.cluster.ddl_epoch)
-                 for _kind, row, values, ts in batch_rows
-                 if values is not None]
+        tasks = _tasks(server, table, rows, names, span, puts_only=True)
         if not tasks:
             return
-        ctx = server.op_context
-        ops = []
-        for task in tasks:
-            ops.extend(plan_insert_ops(ctx, task))
-        if not ops:
-            return
-        obs = server.tracer.start("sync_index_batch", parent=span,
+        obs = server.tracer.start("sync_index", parent=span,
                                   scheme="insert", server=server.name,
                                   rows=len(tasks))
         try:
-            yield from ship_index_ops(ctx, ops, background=False,
-                                      site="index_pi", span=obs)
+            yield from ship_index_ops(
+                server.op_context, _insert_ops(table, tasks),
+                background=False, index_pool=True, site="index_pi", span=obs)
         except (NoSuchRegionError, RpcError):
             for task in tasks:
                 server.degrade_to_auq(task)
@@ -195,7 +157,7 @@ class SyncInsertObserver(RegionObserver):
 class ValidationObserver(RegionObserver):
     """Luo & Carey's validation strategy (DESIGN.md §14): ship the index
     insert blindly — no base read, no synchronous wait — and let reads
-    filter whatever turns stale.  The put's foreground cost is just the
+    filter whatever turns stale.  The write's foreground cost is just the
     (pure) op planning; the actual index RPC rides a spawned background
     process tracked by ``auq_inflight`` so quiesce/drain still cover it.
     Deletes contribute nothing: the tombstoned base row makes existing
@@ -206,8 +168,8 @@ class ValidationObserver(RegionObserver):
     def _ship_blind(self, server: "RegionServer", tasks: List[IndexTask],
                     ops: List[tuple]) -> None:
         """Spawn the fire-and-forget delivery.  ``auq_inflight`` is
-        incremented while the put still holds its ``put_inflight`` slot,
-        so there is no window where a drain misses the ship."""
+        incremented while the write still holds its ``put_inflight``
+        slot, so there is no window where a drain misses the ship."""
         server.auq_inflight.increment()
 
         def deliver() -> Generator[Any, Any, None]:
@@ -215,8 +177,8 @@ class ValidationObserver(RegionObserver):
                                       server=server.name, rows=len(tasks))
             try:
                 yield from ship_index_ops(server.op_context, ops,
-                                          background=True, site="index_pi",
-                                          span=obs)
+                                          background=True, index_pool=False,
+                                          site="index_pi", span=obs)
                 now = server.sim.now()
                 for task in tasks:
                     server.staleness.record(task.ts, now)
@@ -231,51 +193,15 @@ class ValidationObserver(RegionObserver):
 
         server.sim.spawn(deliver(), name=f"{server.name}:blind-ship")
 
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        task = IndexTask(table.name, row, values, ts,
-                         enqueued_at=server.sim.now(),
-                         index_names=_owned_indexes(table, self.SCHEMES),
-                         span_id=_span_id(span),
-                         epoch=server.cluster.ddl_epoch)
-        if not task.index_names:
-            return
-        ops = plan_insert_ops(server.op_context, task)
-        if ops:
-            self._ship_blind(server, [task], ops)
-        return
-        yield  # pragma: no cover
-
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        # Nothing to insert; stale entries fail validation at read time
-        # and are collected by the cleaner or the compaction purge.
-        return
-        yield  # pragma: no cover
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[str, bytes,
-                                          Optional[Dict[str, bytes]], int]],
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """One blind ship for the whole batch's inserts, grouped per
-        target index region inside ``ship_index_ops``."""
+                   rows: Rows, span: Any) -> Generator[Any, Any, None]:
+        """One blind ship for the whole write's inserts, grouped per
+        target index server inside ``ship_index_ops``."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
-        tasks = [IndexTask(table.name, row, values, ts,
-                           enqueued_at=server.sim.now(), index_names=names,
-                           span_id=_span_id(span),
-                           epoch=server.cluster.ddl_epoch)
-                 for _kind, row, values, ts in batch_rows
-                 if values is not None]
-        if not tasks:
-            return
-        ctx = server.op_context
-        ops = []
-        for task in tasks:
-            ops.extend(plan_insert_ops(ctx, task))
+        tasks = _tasks(server, table, rows, names, span, puts_only=True)
+        ops = _insert_ops(table, tasks)
         if ops:
             self._ship_blind(server, tasks, ops)
         return
@@ -285,54 +211,18 @@ class ValidationObserver(RegionObserver):
 class AsyncObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.ASYNC_SIMPLE, IndexScheme.ASYNC_SESSION})
 
-    def _enqueue(self, server: "RegionServer", task: IndexTask,
-                 span: Any) -> Generator[Any, Any, None]:
-        obs = server.tracer.start("enqueue", parent=span, server=server.name)
-        try:
-            yield from server.enqueue_index_task(task)
-        finally:
-            obs.end()
-
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        names = _owned_indexes(table, self.SCHEMES)
-        if not names:
-            return
-        yield from self._enqueue(server, IndexTask(
-            table.name, row, values, ts, enqueued_at=server.sim.now(),
-            index_names=names, span_id=_span_id(span),
-            epoch=server.cluster.ddl_epoch), span)
-
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        names = _owned_indexes(table, self.SCHEMES)
-        if not names:
-            return
-        yield from self._enqueue(server, IndexTask(
-            table.name, row, None, ts, enqueued_at=server.sim.now(),
-            index_names=names, span_id=_span_id(span),
-            epoch=server.cluster.ddl_epoch), span)
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[str, bytes,
-                                          Optional[Dict[str, bytes]], int]],
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """Coalesced AU1: the whole batch enters the AUQ under one
-        enqueue charge and one watermark check (Algorithm 3, amortised).
-        Every row still becomes its own IndexTask — APS batching,
-        staleness tracking, and crash-replay granularity are unchanged."""
+                   rows: Rows, span: Any) -> Generator[Any, Any, None]:
+        """AU1 (Algorithm 3): the whole write enters the AUQ under one
+        enqueue charge and one watermark check.  Every row still becomes
+        its own IndexTask — APS batching, staleness tracking, and
+        crash-replay granularity are per row."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
-        now = server.sim.now()
-        tasks = [IndexTask(table.name, row, values, ts, enqueued_at=now,
-                           index_names=names, span_id=_span_id(span),
-                           epoch=server.cluster.ddl_epoch)
-                 for _kind, row, values, ts in batch_rows]
-        obs = server.tracer.start("enqueue_batch", parent=span,
-                                  server=server.name, rows=len(tasks))
+        tasks = _tasks(server, table, rows, names, span)
+        obs = server.tracer.start("enqueue", parent=span, server=server.name,
+                                  rows=len(tasks))
         try:
             yield from server.enqueue_index_tasks(tasks)
         finally:

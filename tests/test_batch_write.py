@@ -220,3 +220,28 @@ def test_block_cache_metrics_report_traffic():
     rates = [s.obs_cache_hit_rate.value for s in cluster.servers.values()]
     assert all(0.0 <= r <= 1.0 for r in rates)
     assert any(r > 0.0 for r in rates)
+
+
+def test_index_entry_invisible_until_its_wal_write_is_durable():
+    """An index op delivered through handle_index_ops must not be readable
+    while its group commit is still waiting on the log device:
+    visibility follows durability, as on the base write path."""
+    cluster = MiniCluster(num_servers=1, seed=7).start()
+    cluster.create_table("t")
+    cluster.create_index(IndexDescriptor("ix", "t", ("c",),
+                                         scheme=IndexScheme.SYNC_FULL))
+    table = cluster.index_descriptor("ix").table_name
+    key = b"\x04hello\x00\x00row1"
+    server, region_name = cluster.locate(table, key)
+    region = server.regions[region_name]
+
+    server.log_device.acquire()               # hold the WAL device
+    delivery = cluster.sim.spawn(
+        server.handle_index_ops([("put", table, key, 5)]), name="deliver")
+    cluster.advance(20.0)
+    assert not delivery.future.done()         # parked in the WAL wait
+    assert region.tree.get(key) is None
+    server.log_device.release()
+    cluster.advance(20.0)
+    assert delivery.future.done()
+    assert region.tree.get(key) is not None

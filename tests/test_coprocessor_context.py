@@ -1,10 +1,12 @@
-"""IndexOpContext: routing of primitive index ops, including the remote
-base-read fallback used when a region moved away from the APS's server."""
+"""IndexOpContext and the index-op shipping path: routing of index ops,
+including the remote base-read fallback used when a region moved away
+from the APS's server."""
 
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster
-from repro.core.auq import IndexTask, maintain_indexes
+from repro.core.auq import (IndexTask, plan_delete_ops, plan_insert_ops,
+                            ship_index_ops, touched_indexes)
 from repro.errors import RpcError
 
 
@@ -42,12 +44,19 @@ def test_base_read_remote_fallback(cluster):
     assert cluster.network.rpc_count == rpc_before + 1
 
 
+def _ship(server, kind, index, key, ts):
+    """Ship one planned index op the way the sync observers do."""
+    op = (kind, index.table_name, key, ts, index.created_epoch)
+    return ship_index_ops(server.op_context, [op], background=False,
+                          index_pool=True,
+                          site="index_pi" if kind == "put" else "index_di")
+
+
 def test_index_put_routes_to_owner(cluster):
     index = cluster.index_descriptor("ix")
     some_server = next(iter(cluster.servers.values()))
     key = b"\x04hello\x00\x00row1"
-    cluster.run(some_server.op_context.index_put(
-        index.table_name, key, ts=123, background=False))
+    cluster.run(_ship(some_server, "put", index, key, 123))
     owner, region_name = cluster.locate(index.table_name, key)
     region = owner.regions[region_name]
     assert region.tree.get(key) is not None
@@ -57,10 +66,8 @@ def test_index_delete_routes_and_masks(cluster):
     index = cluster.index_descriptor("ix")
     server = next(iter(cluster.servers.values()))
     key = b"\x04hello\x00\x00row1"
-    cluster.run(server.op_context.index_put(index.table_name, key, 10,
-                                            background=False))
-    cluster.run(server.op_context.index_delete(index.table_name, key, 10,
-                                               background=False))
+    cluster.run(_ship(server, "put", index, key, 10))
+    cluster.run(_ship(server, "del", index, key, 10))
     owner, region_name = cluster.locate(index.table_name, key)
     assert owner.regions[region_name].tree.get(key) is None
 
@@ -72,12 +79,17 @@ def test_index_ops_batch_to_dead_target_raises(cluster):
             ("put", "ix-table", b"k", 1)]))
 
 
-def test_maintain_indexes_skips_untouched_columns(cluster):
-    """A task whose values touch no indexed column does nothing."""
+def test_index_planning_skips_untouched_columns(cluster):
+    """A task whose values touch no indexed column plans no op and pays
+    no base read."""
     server, _region = cluster.locate("t", b"aa")
     base = cluster.counters.snapshot()
     task = IndexTask("t", b"aa", {"unrelated": b"1"}, ts=100)
-    cluster.run(maintain_indexes(server.op_context, task,
-                                 background=False, insert_first=True))
+    touched = touched_indexes(cluster.descriptor("t"), task)
+    assert touched == []
+    assert plan_insert_ops(task, touched) == []
+    dels = cluster.run(plan_delete_ops(server.op_context, task, touched,
+                                       background=False))
+    assert dels == []
     diff = cluster.counters.since(base)
     assert diff.index_put == 0 and diff.base_read == 0

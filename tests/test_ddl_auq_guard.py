@@ -154,3 +154,29 @@ def test_per_server_config_isolation_for_watermark():
     s1, s2 = cluster.servers.values()
     s1.config = dataclasses.replace(s1.config, auq_high_watermark=None)
     assert s2.config.auq_high_watermark == 100
+
+
+def test_overflow_apply_with_one_handler_does_not_deadlock():
+    """Regression guard for the overflow apply's handler pool.  With one
+    handler per server and a zero watermark, every async write applies
+    its index ops inline while it still holds that server's only regular
+    handler; those ops must land on the index-handler pool, or concurrent
+    writes on two servers wait on each other forever."""
+    cluster = MiniCluster(
+        num_servers=2, seed=3,
+        server_config=ServerConfig(num_handlers=1,
+                                   auq_high_watermark=0)).start()
+    cluster.create_table("t", split_keys=[b"r3"])   # rows on both servers
+    cluster.create_index(IndexDescriptor("ix", "t", ("c",),
+                                         scheme=IndexScheme.ASYNC_SIMPLE))
+    client = cluster.new_client()
+    for value in (b"old", b"new"):            # inserts, then updates
+        writes = [cluster.sim.spawn(
+            client.put("t", f"r{i}".encode(), {"c": value}), name=f"w{i}")
+            for i in range(6)]
+        cluster.advance(1000.0)
+        assert all(w.future.done() for w in writes), "writes deadlocked"
+    cluster.quiesce()
+    assert cluster.metrics.total("auq_degraded_total") == 12
+    report = check_index(cluster, "ix")
+    assert report.is_consistent, (report.missing, report.stale)

@@ -371,27 +371,6 @@ def test_table2_counters_visible_in_snapshot():
     assert snap["counters"]["table2_ops{op=index_put}"] >= 1
 
 
-def test_old_signature_observers_still_work():
-    """Observers written before the span parameter keep working: the
-    server falls back to the span-less call form."""
-    from repro.core.coprocessor import RegionObserver
-
-    seen = []
-
-    class LegacyObserver(RegionObserver):
-        def post_put(self, server, table, row, values, ts):
-            seen.append(row)
-            return
-            yield  # pragma: no cover
-
-    cluster = MiniCluster(num_servers=1, seed=3).start()
-    cluster.create_table("t")
-    cluster._observer_cache["t"] = (LegacyObserver(),)
-    client = cluster.new_client()
-    cluster.run(client.put("t", b"r1", {"a": b"1"}))
-    assert seen == [b"r1"]
-
-
 # ---------------------------------------------------------------------------
 # Determinism under the sim kernel
 # ---------------------------------------------------------------------------

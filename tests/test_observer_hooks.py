@@ -1,5 +1,7 @@
-"""The coprocessor extension points themselves: custom observers get all
-three hooks, exactly as §7 describes the plug-in framework."""
+"""The coprocessor extension points themselves: custom observers get both
+hooks — ``post_batch`` for every write (a single put or delete is a
+batch of one) and ``pre_flush`` — as §7 describes the plug-in
+framework."""
 
 import pytest
 
@@ -13,13 +15,12 @@ class RecordingObserver(RegionObserver):
         self.deletes = []
         self.pre_flushes = []
 
-    def post_put(self, server, table, row, values, ts):
-        self.puts.append((row, dict(values), ts))
-        return
-        yield  # pragma: no cover
-
-    def post_delete(self, server, table, row, ts):
-        self.deletes.append((row, ts))
+    def post_batch(self, server, table, rows, span):
+        for kind, row, values, ts in rows:
+            if kind == "put":
+                self.puts.append((row, dict(values), ts))
+            else:
+                self.deletes.append((row, ts))
         return
         yield  # pragma: no cover
 
