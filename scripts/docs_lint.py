@@ -5,6 +5,8 @@ Fails CI when:
 
 * a package under ``src/repro/`` has no anchor section in DESIGN.md
   (every subsystem gets a design chapter before it ships);
+* DESIGN.md §3's module map leaves out a module under ``src/repro/``
+  or names one that does not exist;
 * a public class re-exported in ``repro.__all__`` is missing a
   docstring (the README points users at ``help(repro.X)``);
 * README.md's architecture map forgets a package;
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import pathlib
+import re
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -37,6 +40,43 @@ def check_design_anchors(errors: list) -> None:
             errors.append(
                 f"DESIGN.md has no section mentioning `{needle}` — every "
                 f"src/repro/* package needs a design anchor")
+
+
+def repro_modules() -> set:
+    """Every module under ``src/repro/`` as a path relative to it
+    (``core/auq.py``); package ``__init__.py`` files are not listed."""
+    return {str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
+            if p.name != "__init__.py"}
+
+
+def design_map_modules(design: str) -> set:
+    """The modules DESIGN.md §3's map names: the first fenced block after
+    the §3 heading, where a two-space-indented ``name/`` line opens a
+    package and the ``file.py`` lines under it belong to it."""
+    section = design.split("## 3.", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    listed, package = set(), ""
+    for line in block.splitlines():
+        match = re.match(r"^( *)(\S+)", line)
+        if match is None:
+            continue
+        indent, name = len(match.group(1)), match.group(2)
+        if indent == 2 and name.endswith("/"):
+            package = name
+        elif name.endswith(".py"):
+            listed.add(name if indent == 2 else package + name)
+    return listed
+
+
+def check_design_module_map(errors: list) -> None:
+    listed = design_map_modules((REPO / "DESIGN.md").read_text())
+    actual = repro_modules()
+    for module in sorted(actual - listed):
+        errors.append(f"DESIGN.md §3's module map leaves out "
+                      f"src/repro/{module}")
+    for module in sorted(listed - actual):
+        errors.append(f"DESIGN.md §3's module map names "
+                      f"src/repro/{module}, which does not exist")
 
 
 def check_readme_module_map(errors: list) -> None:
@@ -79,6 +119,7 @@ def check_public_docstrings(errors: list) -> None:
 def main() -> int:
     errors: list = []
     check_design_anchors(errors)
+    check_design_module_map(errors)
     check_readme_module_map(errors)
     check_operations_coverage(errors)
     check_public_docstrings(errors)

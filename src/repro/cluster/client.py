@@ -98,10 +98,6 @@ class Client:
         # scans, multigets, read-repair deletes) — the client-side analogue
         # of an HBase connection pool size.
         self.max_fanout = max_fanout
-        # Escape hatch for apples-to-apples tests: False restores the
-        # sequential one-RPC-per-row double-check (same counters & final
-        # state, K round trips instead of ~1).
-        self.parallel_double_check = True
         self._layout = cluster.master.snapshot_layout()
         # The master epoch this cache was copied at: cheap staleness probe
         # (`client.layout_epoch == master.routing_epoch`) without diffing

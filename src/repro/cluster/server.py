@@ -29,7 +29,6 @@ from repro.errors import (EncodingError, NoSuchRegionError, RpcError,
                           ServerDownError)
 from repro.core.auq import (IndexTask, aps_worker, plan_delete_ops,
                             plan_insert_ops, ship_index_ops, touched_indexes)
-from repro.core.coprocessor import IndexOpContext
 from repro.core.encoding import decode_index_key
 from repro.core.index import IndexState, extract_index_values
 from repro.core.local import local_scan_range, plan_local_index_cells
@@ -124,7 +123,6 @@ class RegionServer:
         self.aps_gate = Gate(self.sim, name=f"{name}/aps-gate")
         self.auq_inflight = Latch(self.sim, name=f"{name}/auq-inflight")
         self.put_inflight = Latch(self.sim, name=f"{name}/put-inflight")
-        self.op_context = IndexOpContext(self)
         self.staleness = cluster.staleness
         self.aps_retries = 0
 
@@ -968,21 +966,23 @@ class RegionServer:
         pool could deadlock.  On RPC failure the tasks fall back into the
         queue — correctness over backpressure."""
         self.obs_auq_degraded.inc(len(tasks))
-        ctx = self.op_context
+        cluster = self.cluster
         try:
             delete_ops: List[tuple] = []
             insert_ops: List[tuple] = []
             for task in tasks:
-                touched = touched_indexes(ctx.table_descriptor(task.table),
+                touched = touched_indexes(cluster.descriptor(task.table),
                                           task)
-                dels = yield from plan_delete_ops(ctx, task, touched,
+                dels = yield from plan_delete_ops(self, task, touched,
                                                   background=True)
                 delete_ops.extend(dels)
                 insert_ops.extend(plan_insert_ops(task, touched))
-            yield from ship_index_ops(ctx, delete_ops, background=True,
-                                      site="index_di", index_pool=True)
-            yield from ship_index_ops(ctx, insert_ops, background=True,
-                                      site="index_pi", index_pool=True)
+            yield from ship_index_ops(cluster, self, delete_ops,
+                                      background=True, site="index_di",
+                                      index_pool=True)
+            yield from ship_index_ops(cluster, self, insert_ops,
+                                      background=True, site="index_pi",
+                                      index_pool=True)
         except (NoSuchRegionError, RpcError):
             # NoSuchRegionError: the target index region moved (split or
             # migration) between locate and delivery — same retry story as

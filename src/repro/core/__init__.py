@@ -6,7 +6,7 @@ from repro.core.adaptive import (AdaptiveController, AdaptivePolicy,
 from repro.core.auq import IndexTask
 from repro.core.dense import DenseColumnCodec, DenseField
 from repro.core.maintenance import ScrubReport, rebuild_index, scrub_index
-from repro.core.coprocessor import IndexOpContext, RegionObserver
+from repro.core.coprocessor import RegionObserver
 from repro.core.encoding import (decode_index_key, decode_value,
                                  encode_index_key, encode_value,
                                  index_prefix, prefix_upper_bound)
@@ -26,7 +26,7 @@ __all__ = [
     "IndexDescriptor", "IndexScope", "extract_index_values", "row_index_key",
     "encode_value", "decode_value", "encode_index_key", "decode_index_key",
     "index_prefix", "prefix_upper_bound",
-    "RegionObserver", "IndexOpContext",
+    "RegionObserver",
     "SyncFullObserver", "SyncInsertObserver", "AsyncObserver",
     "build_observers",
     "IndexTask",

@@ -10,28 +10,28 @@ rolled back, its maintenance is retried here until it succeeds.
 
 Every path picks a task's indexes with :func:`touched_indexes`, plans
 its index ops with :func:`plan_insert_ops` / :func:`plan_delete_ops` and
-writes them with :func:`ship_index_ops` (the APS with per-target
-``IndexOpContext.index_ops_batch`` deliveries, for its own retry loop),
-so the synchronous observers, the overflow fallback and the APS cannot
-drift.
+writes them with :func:`ship_index_ops`, so the synchronous observers,
+the overflow fallback and the APS cannot drift.  The deliveries that must
+land eventually — the APS's and the online DDL's — go through
+:func:`deliver_index_ops`, the one retry loop: a group that fails goes
+back through :func:`ship_index_ops`, which re-routes every op in it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, Optional, Tuple
 
-from repro.errors import NoSuchRegionError, RpcError
+from repro.errors import NoSuchRegionError, NoSuchTableError, RpcError
+from repro.core.coprocessor import base_read
 from repro.core.index import extract_index_values, row_index_key
 from repro.lsm.types import DELTA_MS
+from repro.obs.tracing import NULL_SPAN
 from repro.sim.kernel import Timeout
 from repro.sim.scatter import scatter_gather
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.coprocessor import IndexOpContext
-
 __all__ = ["IndexTask", "aps_worker", "live_index_ops", "touched_indexes",
            "plan_insert_ops", "plan_delete_ops", "plan_index_ops",
-           "ship_index_ops",
+           "ship_index_ops", "deliver_index_ops",
            "APS_RETRY_BACKOFF_MS", "APS_RETRY_BACKOFF_CAP_MS"]
 
 APS_RETRY_BACKOFF_MS = 5.0
@@ -133,17 +133,18 @@ def plan_insert_ops(task: IndexTask, touched: list) -> list:
     return ops
 
 
-def plan_delete_ops(ctx: "IndexOpContext", task: IndexTask, touched: list,
+def plan_delete_ops(server: Any, task: IndexTask, touched: list,
                     background: bool,
                     span: Any = None) -> Generator[Any, Any, list]:
     """SU3/BA2+BA3-plan for one task: ONE versioned base read at
-    ``ts − δ`` covering every ``touched`` index, then the DI op list (each
-    delete tombstones at ``ts − δ``, the §4.3 arithmetic)."""
+    ``ts − δ`` (issued by ``server``) covering every ``touched`` index,
+    then the DI op list (each delete tombstones at ``ts − δ``, the §4.3
+    arithmetic)."""
     if not touched:
         return []
     columns = sorted({col for index in touched for col in index.columns})
-    old_row = yield from ctx.base_read(
-        task.table, task.row, columns, max_ts=task.ts - DELTA_MS,
+    old_row = yield from base_read(
+        server, task.table, task.row, columns, max_ts=task.ts - DELTA_MS,
         background=background, span=span)
     old_values = {col: value for col, (value, _ts) in old_row.items()}
     ops = []
@@ -157,7 +158,7 @@ def plan_delete_ops(ctx: "IndexOpContext", task: IndexTask, touched: list,
     return ops
 
 
-def plan_index_ops(ctx: "IndexOpContext", task: IndexTask,
+def plan_index_ops(server: Any, task: IndexTask,
                    span: Any = None) -> Generator[Any, Any, list]:
     """BA2 for one task: read the old row, return the DI/PI op list as
     ``("del"|"put", index_table, key, ts, epoch)`` tuples (deletes first —
@@ -166,16 +167,17 @@ def plan_index_ops(ctx: "IndexOpContext", task: IndexTask,
     whose index was dropped (or dropped and recreated) in the meantime.
     The insert set is re-derived after the read: a DDL may land during
     it."""
+    descriptor = server.cluster.descriptor
     dels = yield from plan_delete_ops(
-        ctx, task, touched_indexes(ctx.table_descriptor(task.table), task),
+        server, task, touched_indexes(descriptor(task.table), task),
         background=True, span=span)
     return dels + plan_insert_ops(
-        task, touched_indexes(ctx.table_descriptor(task.table), task))
+        task, touched_indexes(descriptor(task.table), task))
 
 
-def ship_index_ops(ctx: "IndexOpContext", ops: list, background: bool,
-                   index_pool: bool, site: str, span: Any = None,
-                   ) -> Generator[Any, Any, None]:
+def ship_index_ops(cluster: Any, server: Any, ops: list, background: bool,
+                   index_pool: bool, site: Optional[str] = None,
+                   span: Any = None) -> Generator[Any, Any, None]:
     """Deliver ONE statement group's ops (all PIs, or all DIs) as
     per-target batched RPCs — the one way index entries are written.
 
@@ -189,45 +191,113 @@ def ship_index_ops(ctx: "IndexOpContext", ops: list, background: bool,
     §4.3.  ``background`` and ``index_pool`` pass straight through to
     :meth:`RegionServer.handle_index_ops`.
 
-    Raises on a stale route (``NoSuchRegionError``) or lost RPC; the
-    caller owns the retry/degrade policy.
+    ``server`` is the issuing region server (a delivery to itself skips
+    the network), or None for the master-side DDL.  ``site``
+    (``index_pi`` / ``index_di``) names the scatter site and the
+    ``PI`` / ``DI`` trace span; the retried deliveries of
+    :func:`deliver_index_ops` pass None and open no span.
+
+    Raises on a stale or missing route (``NoSuchRegionError``) or a lost
+    RPC; the caller owns the retry/degrade policy.
     """
     if not ops:
         return
-    server = ctx.server
-    cluster = server.cluster
     # A drop may have landed since planning (a DI's plan spans its read).
     ops = live_index_ops(cluster, ops)
     if not ops:
         return
-    groups: Dict[Any, list] = {}
-    for op in ops:
-        target, _region = cluster.locate(op[1], op[2])
-        groups.setdefault(target, []).append(op)
-    obs = cluster.tracer.start(_SPAN_FOR_SITE[site], parent=span,
-                               server=server.name, rows=len(ops))
+    groups = _route(cluster, ops)
+    if None in groups:
+        raise NoSuchRegionError("no route for index ops (region recovering)")
+    obs = (NULL_SPAN if site is None else
+           cluster.tracer.start(_SPAN_FOR_SITE[site], parent=span,
+                                server=server.name, rows=len(ops)))
     try:
         if len(groups) > 1:
             yield scatter_gather(
-                server.sim,
+                cluster.sim,
                 [(lambda t=target, group=group:
-                  ctx.index_ops_batch(t, group, background, index_pool))
+                  _send(cluster, server, t, group, background, index_pool))
                  for target, group in groups.items()],
-                max_fanout=server.config.scatter_max_fanout,
-                name=site, metrics=cluster.metrics, site=site)
+                max_fanout=cluster.server_config.scatter_max_fanout,
+                name=site or "index_ops", metrics=cluster.metrics, site=site)
             return
         # One target (the common case): deliver in this frame, without
-        # the scatter machinery or another generator layer.
+        # the scatter machinery.
         (target, group), = groups.items()
-        if target is server:
-            yield from server.handle_index_ops(group, background, index_pool)
-        else:
-            yield from cluster.network.call(
-                target,
-                lambda: target.handle_index_ops(group, background,
-                                                index_pool))
+        yield from _send(cluster, server, target, group, background,
+                         index_pool)
     finally:
         obs.end()
+
+
+def _route(cluster: Any, ops: list) -> Dict[Any, list]:
+    """Group ops by the server hosting each op's index region, in
+    first-locate order and keeping op order within a group.  Ops with no
+    route right now (a region mid-recovery or mid-split) go under None."""
+    groups: Dict[Any, list] = {}
+    for op in ops:
+        try:
+            target, _region = cluster.locate(op[1], op[2])
+        except (NoSuchRegionError, NoSuchTableError):
+            target = None
+        groups.setdefault(target, []).append(op)
+    return groups
+
+
+def _send(cluster: Any, server: Any, target: Any, ops: list,
+          background: bool, index_pool: bool) -> Generator[Any, Any, None]:
+    """The delivery coroutine for one target: a local call when the
+    issuing server is the target, an RPC otherwise."""
+    if target is server:
+        return server.handle_index_ops(ops, background, index_pool)
+    return cluster.network.call(
+        target, lambda: target.handle_index_ops(ops, background, index_pool))
+
+
+def deliver_index_ops(cluster: Any, server: Any, ops: list,
+                      backoff_ms: float, backoff_cap_ms: float,
+                      ) -> Generator[Any, Any, bool]:
+    """Deliver ops until every one has landed or its index is gone — the
+    one retry loop for index-op deliveries, shared by the APS (``server``
+    is the worker's server) and the online DDL (``server`` is None).
+
+    The ops go out per target server, one group after another in
+    first-locate order, each first to the server it was located on, with
+    async counters on the regular handler pool (neither caller holds a
+    handler slot).  A group that fails — a lost
+    RPC, a dead target, a stale route — waits out a backoff that doubles
+    from ``backoff_ms`` up to ``backoff_cap_ms``, then goes back through
+    :func:`ship_index_ops`, which re-routes *every* op in it: a group
+    whose regions a recovery or move spread over several servers still
+    lands.  Each retry counts in the server's ``aps_retries``.  Returns
+    False, with the rest undelivered, if ``server`` died while backing
+    off; True once everything landed.
+    """
+    for target, group in _route(cluster, live_index_ops(cluster, ops)).items():
+        backoff = backoff_ms
+        while True:
+            try:
+                if target is None:   # unroutable at first, or a retry
+                    yield from ship_index_ops(cluster, server, group,
+                                              background=True,
+                                              index_pool=False)
+                else:
+                    yield from _send(cluster, server, target, group,
+                                     background=True, index_pool=False)
+                break
+            except (NoSuchRegionError, RpcError):
+                # NoSuchRegionError: the route went stale (the region
+                # moved or split away) or is missing mid-recovery.
+                if server is not None:
+                    server.aps_retries += 1
+                    server.obs_aps_retries.inc()
+                yield Timeout(backoff)
+                backoff = min(backoff * 2, backoff_cap_ms)
+                if server is not None and not server.alive:
+                    return False
+                target = None
+    return True
 
 
 def live_index_ops(cluster: Any, ops: list) -> list:
@@ -264,7 +334,6 @@ def aps_worker(server: Any, worker_id: int) -> Generator[Any, Any, None]:
       cannot complete while any index update is still owed — preserving
       the paper's ``PR(Flushed) = ∅`` invariant.
     """
-    ctx = server.op_context
     while server.alive:
         task: Optional[IndexTask] = yield server.auq.get()
         server.obs_auq_depth.set(len(server.auq))
@@ -287,14 +356,13 @@ def aps_worker(server: Any, worker_id: int) -> Generator[Any, Any, None]:
                 batch.append(extra)
                 server.auq_inflight.increment()
             server.obs_auq_depth.set(len(server.auq))
-            yield from _process_batch(server, ctx, batch)
+            yield from _process_batch(server, batch)
         finally:
             for _ in batch:
                 server.auq_inflight.decrement()
 
 
-def _process_batch(server: Any, ctx: "IndexOpContext",
-                   batch: list) -> Generator[Any, Any, None]:
+def _process_batch(server: Any, batch: list) -> Generator[Any, Any, None]:
     # One "aps_apply" span per task, parented to the originating put's
     # root span: the async half of the mutation's trace tree.
     tracer = server.cluster.tracer
@@ -304,51 +372,13 @@ def _process_batch(server: Any, ctx: "IndexOpContext",
         span = tracer.start("aps_apply", parent=task.span_id,
                             server=server.name, table=task.table)
         spans.append(span)
-        ops = yield from plan_index_ops(ctx, task, span=span)
+        ops = yield from plan_index_ops(server, task, span=span)
         all_ops.extend(ops)
-
-    # Deliver only ops whose index is still alive at its planning epoch
-    # (a drop may have raced the planning read above).
-    all_ops = live_index_ops(server.cluster, all_ops)
-
-    # Group by target server, preserving op order within a group.
-    groups: Dict[Any, list] = {}
-    for op in all_ops:
-        _kind, table, key = op[0], op[1], op[2]
-        try:
-            target, _region = server.cluster.locate(table, key)
-        except Exception:  # noqa: BLE001 - mid-recovery; retry below
-            target = None
-        groups.setdefault(target, []).append(op)
-
-    for target, ops in groups.items():
-        backoff = APS_RETRY_BACKOFF_MS
-        while True:
-            try:
-                yield from ctx.index_ops_batch(target, ops)
-                break
-            except (NoSuchRegionError, RpcError):
-                # NoSuchRegionError surfaces raw from a live server whose
-                # region moved or split away mid-delivery (stale route);
-                # the re-locate below picks up the new owner.
-                server.aps_retries += 1
-                server.obs_aps_retries.inc()
-                yield Timeout(backoff)
-                backoff = min(backoff * 2, APS_RETRY_BACKOFF_CAP_MS)
-                if not server.alive:
-                    return
-                # A concurrent drop_index turns retries into a busy loop
-                # (the table is gone, the RPC can never succeed) — filter
-                # again before the next attempt.
-                ops = live_index_ops(server.cluster, ops)
-                if not ops:
-                    break
-                # Routing may have changed (recovery); re-resolve.
-                try:
-                    target, _region = server.cluster.locate(ops[0][1],
-                                                            ops[0][2])
-                except Exception:  # noqa: BLE001
-                    target = None
+    landed = yield from deliver_index_ops(
+        server.cluster, server, all_ops, APS_RETRY_BACKOFF_MS,
+        APS_RETRY_BACKOFF_CAP_MS)
+    if not landed:
+        return
     now = server.sim.now()
     for task, span in zip(batch, spans):
         server.staleness.record(task.ts, now)

@@ -1,4 +1,4 @@
-"""The coprocessor framework: server-side hooks and their operating context.
+"""The coprocessor framework: server-side hooks and the base-row read.
 
 HBase coprocessors are the extension point Diff-Index is built on (§7):
 "they listen to and intercept each data entry made to the hosting table,
@@ -8,23 +8,21 @@ write, before the ack) and ``pre_flush`` (the pause-and-drain hook of
 Figure 5).  Every write — a single put or delete is a batch of one —
 reaches an observer through ``post_batch``.
 
-:class:`IndexOpContext` is the toolbox handed to observers and to the
-APS: versioned base reads and per-server batched index-op deliveries,
-each charged to the simulated devices and tallied in the Table 2
-counters.
+:func:`base_read` is the one primitive a hook needs besides index-op
+delivery (:func:`repro.core.auq.ship_index_ops`): the versioned read of
+the base row (the paper's RB step), charged to the simulated devices
+and tallied in the Table 2 counters.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.errors import RpcError
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.server import RegionServer
     from repro.cluster.table import TableDescriptor
 
-__all__ = ["RegionObserver", "IndexOpContext"]
+__all__ = ["RegionObserver", "base_read"]
 
 
 class RegionObserver:
@@ -51,63 +49,25 @@ class RegionObserver:
         yield  # pragma: no cover
 
 
-class IndexOpContext:
-    """Server-bound executor for the primitive index-maintenance ops."""
-
-    def __init__(self, server: "RegionServer"):
-        self.server = server
-
-    # -- metadata --------------------------------------------------------------
-
-    def table_descriptor(self, table: str) -> TableDescriptor:
-        return self.server.cluster.descriptor(table)
-
-    def _span(self, name: str, parent: Any):
-        """Child tracing span for one index-maintenance primitive — the
-        paper's PI / RB / DI steps, timed individually."""
-        return self.server.cluster.tracer.start(name, parent=parent,
-                                                server=self.server.name)
-
-    # -- primitive operations ----------------------------------------------------
-
-    def base_read(self, table: str, row: bytes, columns: List[str],
-                  max_ts: Optional[int], background: bool, span: Any = None,
-                  ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
-        """RB: versioned read of the base row.  The base region normally
-        lives on this very server (the put was routed here), so this is a
-        local LSM read; after a region move it falls back to an RPC."""
-        obs = self._span("RB", span)
-        try:
-            region = self.server.region_for(table, row)
-            if region is not None:
-                result = yield from self.server.local_read_row(
-                    region, row, columns, max_ts, background=background)
-                return result
-            target_server, _region_name = self.server.cluster.locate(table,
-                                                                     row)
-            network = self.server.cluster.network
-            result = yield from network.call(
-                target_server,
-                lambda: target_server.handle_get(table, row, columns, max_ts,
-                                                 background=background))
+def base_read(server: "RegionServer", table: str, row: bytes,
+              columns: List[str], max_ts: Optional[int], background: bool,
+              span: Any = None,
+              ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
+    """RB: versioned read of the base row, issued by ``server`` and
+    traced as an ``RB`` span.  The base region normally lives on this
+    very server (the put was routed here), so this is a local LSM read;
+    after a region move it falls back to an RPC."""
+    obs = server.cluster.tracer.start("RB", parent=span, server=server.name)
+    try:
+        region = server.region_for(table, row)
+        if region is not None:
+            result = yield from server.local_read_row(
+                region, row, columns, max_ts, background=background)
             return result
-        finally:
-            obs.end()
-
-    def index_ops_batch(self, target: Any, ops: list,
-                        background: bool = True, index_pool: bool = False,
-                        ) -> Generator[Any, Any, None]:
-        """Deliver a batch of ("put"|"del", table, key, ts) ops to one
-        server in a single RPC with one group-committed log write — the
-        AUQ batching the paper credits async's throughput edge to.  The
-        defaults are the APS's: async counters, regular handler pool (see
-        :meth:`RegionServer.handle_index_ops`)."""
-        if target is None:
-            raise RpcError("no route for batched index ops (recovering)")
-        if target is self.server:
-            yield from self.server.handle_index_ops(ops, background,
-                                                    index_pool)
-            return
-        yield from self.server.cluster.network.call(
-            target,
-            lambda: target.handle_index_ops(ops, background, index_pool))
+        target, _region_name = server.cluster.locate(table, row)
+        result = yield from server.cluster.network.call(
+            target, lambda: target.handle_get(table, row, columns, max_ts,
+                                              background=background))
+        return result
+    finally:
+        obs.end()

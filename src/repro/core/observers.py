@@ -93,7 +93,7 @@ class SyncFullObserver(RegionObserver):
         if not names:
             return
         tasks = _tasks(server, table, rows, names, span)
-        ctx = server.op_context
+        cluster = server.cluster
         obs = server.tracer.start("sync_index", parent=span, scheme="full",
                                   server=server.name, rows=len(tasks))
         try:
@@ -102,17 +102,17 @@ class SyncFullObserver(RegionObserver):
             inserts = []
             for task, indexes in zip(tasks, touched):
                 inserts.extend(plan_insert_ops(task, indexes))
-            yield from ship_index_ops(ctx, inserts, background=False,  # SU2
-                                      index_pool=True, site="index_pi",
-                                      span=obs)
+            yield from ship_index_ops(cluster, server, inserts,  # SU2
+                                      background=False, index_pool=True,
+                                      site="index_pi", span=obs)
             deletes = []
             for task, indexes in zip(tasks, touched):                  # SU3
-                dels = yield from plan_delete_ops(ctx, task, indexes,
+                dels = yield from plan_delete_ops(server, task, indexes,
                                                   background=False, span=obs)
                 deletes.extend(dels)
-            yield from ship_index_ops(ctx, deletes, background=False,  # SU4
-                                      index_pool=True, site="index_di",
-                                      span=obs)
+            yield from ship_index_ops(cluster, server, deletes,  # SU4
+                                      background=False, index_pool=True,
+                                      site="index_di", span=obs)
         except (NoSuchRegionError, RpcError):
             # Stale route from a concurrent split/move counts as a
             # transient failure.  Degrade the WHOLE write to the AUQ
@@ -145,7 +145,7 @@ class SyncInsertObserver(RegionObserver):
                                   rows=len(tasks))
         try:
             yield from ship_index_ops(
-                server.op_context, _insert_ops(table, tasks),
+                server.cluster, server, _insert_ops(table, tasks),
                 background=False, index_pool=True, site="index_pi", span=obs)
         except (NoSuchRegionError, RpcError):
             for task in tasks:
@@ -176,7 +176,7 @@ class ValidationObserver(RegionObserver):
             obs = server.tracer.start("blind_index", scheme="validation",
                                       server=server.name, rows=len(tasks))
             try:
-                yield from ship_index_ops(server.op_context, ops,
+                yield from ship_index_ops(server.cluster, server, ops,
                                           background=True, index_pool=False,
                                           site="index_pi", span=obs)
                 now = server.sim.now()

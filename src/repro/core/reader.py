@@ -196,9 +196,6 @@ def _double_check(client: "Client", index: IndexDescriptor,
     """
     if not hits:
         return []
-    if not client.parallel_double_check:
-        confirmed = yield from _double_check_sequential(client, index, hits)
-        return confirmed
     metrics = client.cluster.metrics
     checks = metrics.counter("read_repair_checks", index=index.name)
     repairs = metrics.counter("read_repair_repairs", index=index.name)
@@ -275,8 +272,8 @@ def _double_check_sequential(client: "Client", index: IndexDescriptor,
                              hits: List[IndexHit],
                              ) -> Generator[Any, Any, List[IndexHit]]:
     """The pre-scatter reference implementation: one round trip per
-    candidate.  Kept for equivalence tests (and as the readable spec of
-    Algorithm 2's per-hit logic)."""
+    candidate.  No read path calls it; it is kept for the equivalence
+    tests and as the readable spec of Algorithm 2's per-hit logic."""
     metrics = client.cluster.metrics
     checks = metrics.counter("read_repair_checks", index=index.name)
     repairs = metrics.counter("read_repair_repairs", index=index.name)

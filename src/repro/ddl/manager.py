@@ -30,7 +30,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import (NoSuchIndexError, NoSuchRegionError,
                           NoSuchTableError, RpcError, StorageError)
-from repro.core.auq import live_index_ops
+from repro.core.auq import deliver_index_ops
 from repro.core.encoding import decode_index_key
 from repro.core.index import (IndexDescriptor, IndexState,
                               extract_index_values, row_index_key)
@@ -498,42 +498,12 @@ class DdlManager:
         self.obs_chunk_ms.observe(self.sim.now() - started)
 
     def _deliver_ops(self, ops: list) -> Generator[Any, Any, None]:
-        """Deliver epoch-tagged index ops batched per target server, with
-        the same retry-and-refilter discipline as the APS (a concurrent
-        drop must not turn this into a busy loop)."""
-        cluster = self.cluster
-        ops = live_index_ops(cluster, ops)
-        if not ops:
-            return
-        groups: Dict[Any, list] = {}
-        for op in ops:
-            try:
-                target, _region = cluster.locate(op[1], op[2])
-            except Exception:  # noqa: BLE001 - mid-recovery
-                target = None
-            groups.setdefault(target, []).append(op)
-        for target, group in groups.items():
-            backoff = self.config.retry_backoff_ms
-            while True:
-                group = live_index_ops(cluster, group)
-                if not group:
-                    break
-                try:
-                    if target is None:
-                        raise RpcError("no route to index region")
-                    yield from cluster.network.call(
-                        target, lambda t=target, g=group:
-                        t.handle_index_ops(g, background=True))
-                    break
-                except (RpcError, NoSuchRegionError):
-                    yield Timeout(backoff)
-                    backoff = min(backoff * 2,
-                                  self.config.retry_backoff_cap_ms)
-                    try:
-                        target, _region = cluster.locate(group[0][1],
-                                                         group[0][2])
-                    except Exception:  # noqa: BLE001
-                        target = None
+        """Deliver epoch-tagged index ops through
+        :func:`deliver_index_ops`, the retry loop the APS uses too, with
+        the DDL's own backoff."""
+        yield from deliver_index_ops(self.cluster, None, ops,
+                                     self.config.retry_backoff_ms,
+                                     self.config.retry_backoff_cap_ms)
 
     def _catch_up(self, job: DdlJob) -> Generator[Any, Any, None]:
         deadline = self.sim.now() + self.config.max_catchup_ms

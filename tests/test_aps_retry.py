@@ -1,11 +1,13 @@
 """APS retry behaviour (§6.2): exponential backoff between redelivery
-attempts, capped, and retried-until-success after injected RPC failures."""
+attempts, capped, retried-until-success after injected RPC failures, and
+re-routed when a failed group's regions end up on different servers."""
 
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
 from repro.core.auq import (APS_RETRY_BACKOFF_CAP_MS, APS_RETRY_BACKOFF_MS,
                             IndexTask, _process_batch)
+from repro.core.encoding import index_prefix
 from repro.errors import RpcError
 from repro.obs import MetricsRegistry, Tracer
 from repro.sim.kernel import Simulator
@@ -24,40 +26,39 @@ class _StalenessStub:
 
 
 class _ClusterStub:
-    def __init__(self, sim, registry, target):
+    """Routes every index op to ``server`` — the APS's own server, so each
+    delivery is a local ``handle_index_ops`` call."""
+
+    def __init__(self, sim, registry):
         self.sim = sim
         self.metrics = registry
         self.tracer = Tracer(clock=sim.now, registry=registry)
-        self._target = target
+        self.server = None
 
     def locate(self, table, key):
-        return self._target, "r1"
+        return self.server, "r1"
 
 
 class _ServerStub:
-    def __init__(self, sim, cluster, registry):
+    """An APS server whose ``handle_index_ops`` fails the first
+    ``failures`` deliveries, stamping each attempt's sim time."""
+
+    def __init__(self, sim, cluster, registry, failures):
         self.name = "rs1"
         self.sim = sim
         self.alive = True
         self.cluster = cluster
+        cluster.server = self
         self.staleness = _StalenessStub()
         self.aps_retries = 0
         self.obs_aps_retries = registry.counter("aps_retries", server="rs1")
         self.obs_auq_lag = registry.histogram("auq_lag_ms", server="rs1")
         self.obs_auq_lag_last = registry.gauge("auq_lag_last_ms",
                                                server="rs1")
-
-
-class _FlakyCtx:
-    """index_ops_batch that fails the first ``failures`` attempts,
-    stamping each attempt's sim time."""
-
-    def __init__(self, sim, failures):
-        self.sim = sim
         self.failures = failures
         self.attempt_times = []
 
-    def index_ops_batch(self, target, ops):
+    def handle_index_ops(self, ops, background, index_pool):
         self.attempt_times.append(self.sim.now())
         if len(self.attempt_times) <= self.failures:
             raise RpcError("injected delivery failure")
@@ -65,26 +66,30 @@ class _FlakyCtx:
         yield  # pragma: no cover
 
 
-def _fake_plan(ctx, task, span=None):
+def _fake_plan(server, task, span=None):
     return [("put", "t_ix", b"k1", task.ts)]
     yield  # pragma: no cover
 
 
-def test_backoff_doubles_from_base_and_caps(monkeypatch):
-    monkeypatch.setattr("repro.core.auq.plan_index_ops", _fake_plan)
+def _stub_server(failures):
     sim = Simulator()
     registry = MetricsRegistry()
-    cluster = _ClusterStub(sim, registry, target=object())
-    server = _ServerStub(sim, cluster, registry)
+    return _ServerStub(sim, _ClusterStub(sim, registry), registry, failures)
+
+
+def test_backoff_doubles_from_base_and_caps(monkeypatch):
+    monkeypatch.setattr("repro.core.auq.plan_index_ops", _fake_plan)
     failures = 6
-    ctx = _FlakyCtx(sim, failures)
+    server = _stub_server(failures)
+    sim = server.sim
     task = IndexTask("t", b"r1", {"c": b"v"}, 0)
 
-    sim.run_until_complete(sim.spawn(_process_batch(server, ctx, [task]),
+    sim.run_until_complete(sim.spawn(_process_batch(server, [task]),
                                      name="aps"))
 
-    assert len(ctx.attempt_times) == failures + 1   # retried to success
-    gaps = [b - a for a, b in zip(ctx.attempt_times, ctx.attempt_times[1:])]
+    attempts = server.attempt_times
+    assert len(attempts) == failures + 1   # retried to success
+    gaps = [b - a for a, b in zip(attempts, attempts[1:])]
     expected = [min(APS_RETRY_BACKOFF_MS * 2 ** i, APS_RETRY_BACKOFF_CAP_MS)
                 for i in range(failures)]
     assert gaps == pytest.approx(expected)
@@ -99,19 +104,16 @@ def test_backoff_doubles_from_base_and_caps(monkeypatch):
 
 def test_no_failures_means_no_backoff(monkeypatch):
     monkeypatch.setattr("repro.core.auq.plan_index_ops", _fake_plan)
-    sim = Simulator()
-    registry = MetricsRegistry()
-    cluster = _ClusterStub(sim, registry, target=object())
-    server = _ServerStub(sim, cluster, registry)
-    ctx = _FlakyCtx(sim, failures=0)
+    server = _stub_server(failures=0)
+    sim = server.sim
     task = IndexTask("t", b"r1", {"c": b"v"}, 0)
 
-    sim.run_until_complete(sim.spawn(_process_batch(server, ctx, [task]),
+    sim.run_until_complete(sim.spawn(_process_batch(server, [task]),
                                      name="aps"))
 
-    assert len(ctx.attempt_times) == 1
+    assert len(server.attempt_times) == 1
     assert server.aps_retries == 0
-    assert sim.now() == ctx.attempt_times[0]   # no backoff sleeps
+    assert sim.now() == server.attempt_times[0]   # no backoff sleeps
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +127,16 @@ def test_aps_retries_until_success_after_injected_failures():
                                          scheme=IndexScheme.ASYNC_SIMPLE))
     fail_budget = {"left": 5}
     for server in cluster.servers.values():
-        ctx = server.op_context
-        original = ctx.index_ops_batch
+        original = server.handle_index_ops
 
-        def wrapped(target, ops, _original=original):
+        def wrapped(ops, background, index_pool, _original=original):
             if fail_budget["left"] > 0:
                 fail_budget["left"] -= 1
                 raise RpcError("injected APS delivery failure")
-            result = yield from _original(target, ops)
+            result = yield from _original(ops, background, index_pool)
             return result
 
-        ctx.index_ops_batch = wrapped
+        server.handle_index_ops = wrapped
 
     client = cluster.new_client()
     for i in range(10):
@@ -147,4 +148,36 @@ def test_aps_retries_until_success_after_injected_failures():
     assert total_retries == 5
     assert cluster.metrics.total("aps_retries") == 5
     # despite the failures, the index converged — no task was lost
+    assert check_index(cluster, "ix").is_consistent
+
+
+def test_failed_group_split_across_servers_by_recovery_converges():
+    """Both index regions sit on rs2 when the APS plans its batch, so the
+    ops form one target group; rs2 dies, and recovery spreads the two
+    regions over rs3 and rs1.  The retry must re-route every op of the
+    failed group, not only its first — re-sending the whole group to the
+    first op's new owner is rejected there forever."""
+    cluster = MiniCluster(num_servers=3, seed=7).start()
+    cluster.create_table("t")
+    assert cluster.master.layout["t"][0].server_name == "rs1"
+    ix = cluster.create_index(
+        IndexDescriptor("ix", "t", ("c",), scheme=IndexScheme.ASYNC_SIMPLE),
+        split_keys=[index_prefix([b"m"])]).name
+    for info in list(cluster.master.layout[ix]):
+        if info.server_name != "rs2":
+            assert cluster.run(cluster.placement.move_region(
+                ix, info.region_name, "rs2"))
+    assert {i.server_name for i in cluster.master.layout[ix]} == {"rs2"}
+
+    rs1 = cluster.servers["rs1"]
+    rs1.aps_gate.close()
+    client = cluster.new_client()
+    for i in range(6):
+        cluster.run(client.put("t", f"r{i}".encode(),
+                               {"c": b"a" if i % 2 == 0 else b"z"}))
+    cluster.kill_server("rs2")
+    rs1.aps_gate.open()
+
+    cluster.quiesce()
+    assert len({i.server_name for i in cluster.master.layout[ix]}) == 2
     assert check_index(cluster, "ix").is_consistent

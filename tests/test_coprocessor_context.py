@@ -1,4 +1,4 @@
-"""IndexOpContext and the index-op shipping path: routing of index ops,
+"""The base read and the index-op shipping path: routing of index ops,
 including the remote base-read fallback used when a region moved away
 from the APS's server."""
 
@@ -7,6 +7,7 @@ import pytest
 from repro import IndexDescriptor, IndexScheme, MiniCluster
 from repro.core.auq import (IndexTask, plan_delete_ops, plan_insert_ops,
                             ship_index_ops, touched_indexes)
+from repro.core.coprocessor import base_read
 from repro.errors import RpcError
 
 
@@ -24,22 +25,22 @@ def test_base_read_local_when_region_hosted(cluster):
     cluster.run(client.put("t", b"aa", {"c": b"v"}))
     server, _region = cluster.locate("t", b"aa")
     rpc_before = cluster.network.rpc_count
-    result = cluster.run(server.op_context.base_read(
-        "t", b"aa", ["c"], max_ts=None, background=False))
+    result = cluster.run(base_read(
+        server, "t", b"aa", ["c"], max_ts=None, background=False))
     assert result["c"][0] == b"v"
     assert cluster.network.rpc_count == rpc_before   # no network hop
 
 
 def test_base_read_remote_fallback(cluster):
-    """Ask a server that does NOT host the row: the context routes an RPC
+    """Ask a server that does NOT host the row: the read routes an RPC
     to the right server (the post-region-move APS case)."""
     client = cluster.new_client()
     cluster.run(client.put("t", b"aa", {"c": b"v"}))
     owner, _region = cluster.locate("t", b"aa")
     other = next(s for s in cluster.servers.values() if s is not owner)
     rpc_before = cluster.network.rpc_count
-    result = cluster.run(other.op_context.base_read(
-        "t", b"aa", ["c"], max_ts=None, background=False))
+    result = cluster.run(base_read(
+        other, "t", b"aa", ["c"], max_ts=None, background=False))
     assert result["c"][0] == b"v"
     assert cluster.network.rpc_count == rpc_before + 1
 
@@ -47,7 +48,7 @@ def test_base_read_remote_fallback(cluster):
 def _ship(server, kind, index, key, ts):
     """Ship one planned index op the way the sync observers do."""
     op = (kind, index.table_name, key, ts, index.created_epoch)
-    return ship_index_ops(server.op_context, [op], background=False,
+    return ship_index_ops(server.cluster, server, [op], background=False,
                           index_pool=True,
                           site="index_pi" if kind == "put" else "index_di")
 
@@ -72,11 +73,16 @@ def test_index_delete_routes_and_masks(cluster):
     assert owner.regions[region_name].tree.get(key) is None
 
 
-def test_index_ops_batch_to_dead_target_raises(cluster):
-    server = next(iter(cluster.servers.values()))
+def test_ship_to_dead_target_raises(cluster):
+    """An index region whose server died (and is not yet recovered) makes
+    the delivery raise RpcError for the caller's retry/degrade policy."""
+    index = cluster.index_descriptor("ix")
+    key = b"\x04hello\x00\x00row1"
+    owner, _region = cluster.locate(index.table_name, key)
+    issuer = next(s for s in cluster.servers.values() if s is not owner)
+    cluster.kill_server(owner.name)
     with pytest.raises(RpcError):
-        cluster.run(server.op_context.index_ops_batch(None, [
-            ("put", "ix-table", b"k", 1)]))
+        cluster.run(_ship(issuer, "put", index, key, 1))
 
 
 def test_index_planning_skips_untouched_columns(cluster):
@@ -88,7 +94,7 @@ def test_index_planning_skips_untouched_columns(cluster):
     touched = touched_indexes(cluster.descriptor("t"), task)
     assert touched == []
     assert plan_insert_ops(task, touched) == []
-    dels = cluster.run(plan_delete_ops(server.op_context, task, touched,
+    dels = cluster.run(plan_delete_ops(server, task, touched,
                                        background=False))
     assert dels == []
     diff = cluster.counters.since(base)

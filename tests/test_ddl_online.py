@@ -5,6 +5,7 @@ offline/online equivalence guarantee."""
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
+from repro.core.encoding import index_prefix
 from repro.core.verify import actual_entries
 from repro.ddl.jobs import JobPhase
 from repro.ddl.manager import DdlConfig, DdlManager
@@ -224,6 +225,48 @@ def test_kill_server_during_backfill_still_completes_cleanly():
     cluster.run(job.wait())
     assert job.phase is JobPhase.ACTIVE
     assert job.error is None
+    cluster.quiesce()
+    report = check_index(cluster, "ix")
+    assert report.is_consistent, (report.missing, report.stale)
+
+
+def test_backfill_group_split_across_servers_by_recovery_converges():
+    """Index regions r0002 and r0005 share rs2, so a backfill chunk's ops
+    bound there form one delivery group; rs2 dies mid-backfill and
+    recovery puts the two regions on different servers.  The delivery
+    retry must re-route every op of the failed group — re-sending it
+    whole to its first op's new owner is rejected there forever and pins
+    the job in BACKFILL."""
+    cluster = MiniCluster(num_servers=3, seed=5).start()
+    cluster.create_table("t")
+    client = cluster.new_client()
+    values = [b"a", b"h", b"p", b"w"]
+
+    def loader():
+        for i in range(400):
+            yield from client.put("t", f"r{i:05d}".encode(),
+                                  {"c": values[i % 4]})
+
+    cluster.run(loader())
+    job = cluster.create_index_online(
+        IndexDescriptor("ix", "t", ("c",), scheme=IndexScheme.SYNC_FULL),
+        split_keys=[index_prefix([v]) for v in (b"f", b"m", b"t")])
+    ix = cluster.index_descriptor("ix").table_name
+    on_rs2 = [i.region_name for i in cluster.master.layout[ix]
+              if i.server_name == "rs2"]
+    assert on_rs2 == [f"{ix},r0002", f"{ix},r0005"]
+    cluster.advance(3.0)
+    cluster.kill_server("rs2")
+
+    def bounded_wait():
+        deadline = cluster.sim.now() + 120_000.0
+        while not job.is_terminal and cluster.sim.now() < deadline:
+            yield Timeout(5.0)
+
+    cluster.run(bounded_wait())
+    assert len({i.server_name for i in cluster.master.layout[ix]
+                if i.region_name in on_rs2}) == 2
+    assert job.phase is JobPhase.ACTIVE
     cluster.quiesce()
     report = check_index(cluster, "ix")
     assert report.is_consistent, (report.missing, report.stale)

@@ -5,16 +5,35 @@ per-row charges, same repairs, same final index state."""
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
+from repro.core.reader import (_decode_hits, _double_check_sequential,
+                               index_scan_range)
 
 
-def build(seed=11, parallel=True):
+def build(seed=11):
     cluster = MiniCluster(num_servers=3, seed=seed).start()
     cluster.create_table("t", split_keys=[b"r3", b"r6"])
     cluster.create_index(IndexDescriptor("ix", "t", ("c",),
                                          scheme=IndexScheme.SYNC_INSERT))
-    client = cluster.new_client()
-    client.parallel_double_check = parallel
-    return cluster, client
+    return cluster, cluster.new_client()
+
+
+def read(cluster, client, parallel, **predicate):
+    """getByIndex on ``ix``: the client's read path when ``parallel``,
+    else the same index scan followed by the sequential reference
+    double-check."""
+    if parallel:
+        return cluster.run(client.get_by_index("ix", **predicate))
+    index = cluster.index_descriptor("ix")
+
+    def sequential():
+        cells = yield from client.scan_table(
+            index.table_name, index_scan_range(index, **predicate),
+            is_index=True)
+        hits = yield from _double_check_sequential(
+            client, index, _decode_hits(index, cells))
+        return hits
+
+    return cluster.run(sequential())
 
 
 def seeded_workload(cluster, client):
@@ -39,10 +58,10 @@ def repair_counters(cluster):
 def test_parallel_matches_sequential_everything(value, expected_rows):
     observations = {}
     for mode in (True, False):
-        cluster, client = build(parallel=mode)
+        cluster, client = build()
         seeded_workload(cluster, client)
         before = cluster.counters.snapshot()
-        hits = cluster.run(client.get_by_index("ix", equals=[value]))
+        hits = read(cluster, client, mode, equals=[value])
         diff = cluster.counters.since(before)
         report = check_index(cluster, "ix")
         observations[mode] = {
@@ -77,12 +96,12 @@ def test_duplicate_rowkey_range_query_charges_match():
     base read, exactly like the sequential loop."""
     observations = {}
     for mode in (True, False):
-        cluster, client = build(parallel=mode)
+        cluster, client = build()
         cluster.run(client.put("t", b"r1", {"c": b"a"}))
         cluster.run(client.put("t", b"r1", {"c": b"b"}))
         cluster.run(client.put("t", b"r1", {"c": b"c"}))
         before = cluster.counters.snapshot()
-        hits = cluster.run(client.get_by_index("ix", low=b"a", high=b"c"))
+        hits = read(cluster, client, mode, low=b"a", high=b"c")
         diff = cluster.counters.since(before)
         observations[mode] = {
             "rows": [(h.rowkey, h.values) for h in hits],
@@ -99,8 +118,8 @@ def test_duplicate_rowkey_range_query_charges_match():
 
 def test_repair_converges_to_consistent_index_in_both_modes():
     for mode in (True, False):
-        cluster, client = build(parallel=mode)
+        cluster, client = build()
         seeded_workload(cluster, client)
         assert len(check_index(cluster, "ix").stale) == 5
-        cluster.run(client.get_by_index("ix", equals=[b"v"]))
+        read(cluster, client, mode, equals=[b"v"])
         assert check_index(cluster, "ix").is_consistent
